@@ -5,7 +5,6 @@ products, and the non-commutative orbit counts.
 
 from .batch import (EVENT_NAMES, Kernels, bits_to_ints, ints_to_bits,
                     kernels_for)
-from .config import Caps, Config
 from .errors import CapacityError
 from .galois import (FiniteField, QuotientSpec, QuotientVerdict, build_field,
                      factor_prime_power, is_quotient_of_finite_field,
@@ -17,15 +16,14 @@ from .lottery import (Census, ClassRow, Estimate, LotterySpec, census,
                       class_table, estimate, sample_bits, sample_pasture,
                       thread_count, wilson_interval)
 from .morphisms import (CanonicalForm, are_isomorphic, canonical_form,
-                        exists_bijective_morphism, hyperfield_classes,
-                        is_morphism, pasture_automorphisms)
+                        exists_bijective_morphism, is_morphism,
+                        pasture_automorphisms)
 from .pastures import (AdditionTable, LinearSystem, Pasture, all_pastures,
                        axiom_oracle, fetvins_check, fetvins_exhaustive,
                        field_f2, field_f3, is_4full, is_field,
                        is_hyperfield_fast, is_zero_over_zero, krasner,
                        reconstruct_addition, satisfies_star, sign_hyperfield)
-from .products import ProductPasture, product, product_group, product_pasture, \
-    product_theorem_verdict
+from .products import product, product_group, product_theorem_verdict
 from .serialize import (dumps_pasture, load_pasture_file, loads_pasture,
                         pasture_from_dict, pasture_to_dict)
 from .skew import (BUILTIN_GROUPS, CayleyGroup, SkewHexagonTable,
@@ -35,10 +33,10 @@ from .skew import (BUILTIN_GROUPS, CayleyGroup, SkewHexagonTable,
 
 __all__ = [
     "AbelianGroup", "AdditionTable", "BUILTIN_GROUPS", "CanonicalForm",
-    "CapacityError", "Caps", "CayleyGroup", "Census", "ClassRow", "Config",
+    "CapacityError", "CayleyGroup", "Census", "ClassRow",
     "EVENT_NAMES", "Estimate", "FiniteField", "GroupAutomorphism",
     "GroupElement", "HexagonTable", "Kernels", "LinearSystem", "LotterySpec",
-    "Pasture", "ProductPasture", "QuotientSpec", "QuotientVerdict",
+    "Pasture", "QuotientSpec", "QuotientVerdict",
     "SkewHexagonTable", "abelian_groups_up_to", "all_pastures",
     "alternating_4", "are_isomorphic", "automorphisms_fixing", "axiom_oracle",
     "bits_to_ints", "build_field", "build_table", "burnside_orbit_count",
@@ -46,12 +44,12 @@ __all__ = [
     "estimate", "exists_bijective_morphism", "factor_prime_power",
     "fetvins_check", "fetvins_exhaustive", "field_f2", "field_f3",
     "from_abelian", "hexagon_count_formula", "homomorphisms",
-    "hyperfield_classes", "ints_to_bits", "is_4full", "is_field",
+    "ints_to_bits", "is_4full", "is_field",
     "is_hyperfield_fast", "is_morphism", "is_quotient_of_finite_field",
     "is_zero_over_zero", "kernels_for", "krasner", "load_pasture_file",
     "loads_pasture", "one_minus_one_is_everything", "pasture_automorphisms",
     "pasture_from_dict", "pasture_to_dict", "product", "product_group",
-    "product_pasture", "product_theorem_verdict", "quaternion_8",
+    "product_theorem_verdict", "quaternion_8",
     "quotient_hyperfield", "reconstruct_addition", "sample_bits",
     "sample_pasture", "satisfies_star", "sign_hyperfield", "skew_axiom_oracle",
     "skew_bound", "skew_hexagons", "symmetric_3", "thread_count",

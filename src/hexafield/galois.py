@@ -261,7 +261,8 @@ def quotient_hyperfield(spec: QuotientSpec) -> Pasture:
             bits |= 1 << h
     eps = group.element_by_index(int(cls[fld.neg_one]))
     pasture = Pasture(group, eps, bits)
-    assert is_hyperfield_fast(pasture)
+    if not is_hyperfield_fast(pasture):
+        raise AssertionError("a finite-field quotient must be a hyperfield")
     return pasture
 
 

@@ -246,14 +246,6 @@ class GroupElement:
         return f"<{','.join(map(str, self.residues))}>" if self.residues else "<>"
 
 
-def mul(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g * h
-
-
-def inv(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
 @dataclass(frozen=True)
 class GroupAutomorphism:
     """A bijective multiplicative self-map, stored as a full image table."""

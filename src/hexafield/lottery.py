@@ -7,19 +7,20 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .batch import EVENT_NAMES, bits_to_ints, ints_to_bits, kernels_for
 from .errors import CapacityError
-from .groups import AbelianGroup, GroupElement, automorphisms_fixing
+from .groups import AbelianGroup, GroupElement
 from .hexagons import build_table
-from .pastures import Pasture
+from .pastures import ORACLE_ORDER_CAP, Pasture
 
 WILSON_Z = 1.959963984540054  # 97.5th percentile of the standard normal
 CENSUS_HEX_CAP = 22
 CLASSIFY_HEX_CAP = 16
-ORACLE_SUBSAMPLE = 100  # census re-checks every 100th nullset against the oracle
+ORACLE_SUBSAMPLE = 100  # every 100th orbit representative is re-checked against the oracle
 _CHUNK = 4096  # fixed work unit, so the thread count never moves chunk boundaries
 
 
@@ -38,7 +39,8 @@ def _chunks(total: int) -> list[tuple[int, int]]:
 
 
 def _run_chunks(work, bounds, threads):
-    if threads == 1 or len(bounds) <= 1:
+    threads = min(threads, len(bounds))
+    if threads <= 1:
         return [work(b) for b in bounds]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(work, bounds))
@@ -117,8 +119,10 @@ class Estimate:
     ci_high: float
 
     def __post_init__(self):
-        assert 0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1
-        assert self.p_hat == Fraction(self.successes, self.samples)
+        if not 0 <= self.ci_low <= self.p_hat <= self.ci_high <= 1:
+            raise ValueError("interval must contain p_hat and lie in [0, 1]")
+        if self.p_hat != Fraction(self.successes, self.samples):
+            raise ValueError("p_hat must equal successes / samples")
 
 
 def estimate(spec: LotterySpec, event: str, threads: int | None = None) -> Estimate:
@@ -138,6 +142,67 @@ def estimate(spec: LotterySpec, event: str, threads: int | None = None) -> Estim
                     Fraction(successes, spec.samples), low, high)
 
 
+class _Orbits(NamedTuple):
+    """One canonical (minimal) nullset per orbit of the unit-fixing
+    automorphisms, in increasing order, with what the orbit shares."""
+
+    values: np.ndarray
+    stabiliser: np.ndarray  # automorphisms fixing the nullset, identity included
+    orbit: np.ndarray       # |Aut| / |Stab| nullsets in the orbit
+    hyper: np.ndarray
+    field: np.ndarray
+    star: np.ndarray        # evaluated on hyperfields only
+
+
+def _orbits(group: AbelianGroup, unit: GroupElement, threads: int | None,
+            hex_cap: int, task: str) -> _Orbits:
+    """Every nullset on (group, unit), one chunk pass, predicates on the
+    canonical representatives only.
+
+    Being a hyperfield or field, the star property and the stabiliser size
+    are invariant under the automorphisms, so a representative speaks for
+    its whole orbit.
+    """
+    width = build_table(group).size
+    if width > hex_cap:
+        raise CapacityError(f"{task} wants 2^{width} nullsets; cap is 2^{hex_cap}")
+    if group.order > ORACLE_ORDER_CAP:
+        raise CapacityError(
+            f"{task} probes the oracle, which is capped at order {ORACLE_ORDER_CAP}; "
+            f"got {group.order}")
+    nthreads = thread_count(threads)
+    kernels = kernels_for(group, unit.index)
+    perms = kernels.nontrivial_hex_perms
+
+    def work(bounds):
+        lo, hi = bounds
+        vals = np.arange(lo, hi, dtype=np.int64)
+        bits = ints_to_bits(vals, width)
+        canon = np.ones(len(vals), dtype=bool)
+        stab = np.ones(len(vals), dtype=np.int64)
+        for perm in perms:
+            image = bits_to_ints(bits[:, perm])
+            canon &= image >= vals
+            stab += image == vals
+        vals, bits, stab = vals[canon], bits[canon], stab[canon]
+        hyper = kernels.is_hyperfield(bits)
+        probe = np.arange(len(vals)) % ORACLE_SUBSAMPLE == 0
+        if probe.any() and (kernels.axiom_oracle(bits[probe]) != hyper[probe]).any():
+            raise RuntimeError("fast hyperfield check disagrees with the axiom oracle")
+        field = hyper & ~kernels.one_plus_minus_one(bits).any(axis=1)
+        star = np.zeros_like(hyper)
+        star[hyper] = kernels.satisfies_star(bits[hyper])
+        return vals, stab, hyper, field, star
+
+    parts = _run_chunks(work, _chunks(1 << width), nthreads)
+    vals, stab, hyper, field, star = (np.concatenate(col) for col in zip(*parts))
+    n_aut = len(perms) + 1
+    orbit = n_aut // stab
+    if (orbit * stab != n_aut).any() or int(orbit.sum()) != 1 << width:
+        raise AssertionError("orbit sizes must divide |Aut| and cover every nullset")
+    return _Orbits(vals, stab, orbit, hyper, field, star)
+
+
 @dataclass(frozen=True)
 class Census:
     group: AbelianGroup
@@ -152,52 +217,20 @@ class Census:
 
 def census(group: AbelianGroup, unit: GroupElement,
            threads: int | None = None, hex_cap: int = CENSUS_HEX_CAP) -> Census:
-    """Exact counts over every nullset on (group, unit)."""
-    width = build_table(group).size
-    if width > hex_cap:
-        raise CapacityError(
-            f"census wants 2^{width} nullsets; cap is 2^{hex_cap}")
-    nthreads = thread_count(threads)
-    kernels = kernels_for(group, unit.index)
-    perms = list(kernels.nontrivial_hex_perms)
-    total = 1 << width
-
-    def work(bounds):
-        lo, hi = bounds
-        vals = np.arange(lo, hi, dtype=np.int64)
-        bits = ints_to_bits(vals, width)
-        hyper = kernels.is_hyperfield(bits)
-        probe = vals % ORACLE_SUBSAMPLE == 0
-        if probe.any() and (kernels.axiom_oracle(bits[probe]) != hyper[probe]).any():
-            raise RuntimeError("fast hyperfield check disagrees with the axiom oracle")
-        no_sum = ~kernels.one_plus_minus_one(bits).any(axis=1)
-        star = kernels.satisfies_star(bits)
-        auto = kernels.has_nontrivial_automorphism(bits)
-        hyper_bits = bits[hyper]
-        canon = bits_to_ints(hyper_bits)
-        for perm in perms:
-            canon = np.minimum(canon, bits_to_ints(hyper_bits[:, perm]))
-        return (int(hyper.sum()), int((hyper & no_sum).sum()),
-                int((hyper & star).sum()), int((hyper & ~auto).sum()),
-                set(canon.tolist()))
-
-    parts = _run_chunks(work, _chunks(total), nthreads)
-    hyperfields = sum(p[0] for p in parts)
-    fields = sum(p[1] for p in parts)
-    star_hyperfields = sum(p[2] for p in parts)
-    rigid = sum(p[3] for p in parts)
-    classes: set[int] = set()
-    for p in parts:
-        classes |= p[4]
-
-    n_aut = len(automorphisms_fixing(group, unit.index))
-    assert fields <= hyperfields <= total
-    assert len(classes) <= hyperfields <= len(classes) * n_aut
-    if group.order >= 2:
-        # non-hyperfield mass is at least 2^-n
-        assert (total - hyperfields) << group.order >= total
+    """Exact counts over every nullset on (group, unit): each canonical
+    representative is weighted by its orbit size."""
+    o = _orbits(group, unit, threads, hex_cap, "census")
+    total = 1 << build_table(group).size
+    hyperfields = int(o.orbit[o.hyper].sum())
+    fields = int(o.orbit[o.field].sum())
+    if not fields <= hyperfields <= total:
+        raise AssertionError("fields must be hyperfields")
+    # non-hyperfield mass is at least 2^-n
+    if group.order >= 2 and (total - hyperfields) << group.order < total:
+        raise AssertionError("too many hyperfields for the 2^-n bound")
     return Census(group, unit, total, hyperfields, fields,
-                  star_hyperfields, len(classes), rigid)
+                  int(o.orbit[o.star].sum()), int(o.hyper.sum()),
+                  int(o.orbit[o.hyper & (o.stabiliser == 1)].sum()))
 
 
 @dataclass(frozen=True)
@@ -214,39 +247,13 @@ def class_table(group: AbelianGroup, unit: GroupElement, hyper_only: bool = True
                 threads: int | None = None,
                 hex_cap: int = CLASSIFY_HEX_CAP) -> tuple[ClassRow, ...]:
     """One row per isomorphism class, in canonical nullset order."""
-    from .morphisms import pasture_automorphisms
-
-    width = build_table(group).size
-    if width > hex_cap:
-        raise CapacityError(
-            f"classification wants 2^{width} nullsets; cap is 2^{hex_cap}")
-    nthreads = thread_count(threads)
+    o = _orbits(group, unit, threads, hex_cap, "classification")
+    if hyper_only:
+        o = _Orbits(*(col[o.hyper] for col in o))
     kernels = kernels_for(group, unit.index)
-    perms = list(kernels.nontrivial_hex_perms)
-
-    def work(bounds):
-        lo, hi = bounds
-        vals = np.arange(lo, hi, dtype=np.int64)
-        bits = ints_to_bits(vals, width)
-        if hyper_only:
-            bits = bits[kernels.is_hyperfield(bits)]
-        canon = bits_to_ints(bits)
-        for perm in perms:
-            canon = np.minimum(canon, bits_to_ints(bits[:, perm]))
-        return set(canon.tolist())
-
-    reps: set[int] = set()
-    for part in _run_chunks(work, _chunks(1 << width), nthreads):
-        reps |= part
-    ordered = sorted(reps)
-    bits = ints_to_bits(np.array(ordered, dtype=np.int64), width)
-    hyper = kernels.is_hyperfield(bits)
-    fields = kernels.is_field(bits)
+    bits = ints_to_bits(o.values, build_table(group).size)
     full4 = kernels.is_4full(bits)
     zz = kernels.is_zero_over_zero(bits)
-    rows = []
-    for i, val in enumerate(ordered):
-        p = Pasture(group, unit, val)
-        rows.append(ClassRow(p, bool(hyper[i]), bool(fields[i]), bool(full4[i]),
-                             bool(zz[i]), len(pasture_automorphisms(p))))
-    return tuple(rows)
+    return tuple(
+        ClassRow(Pasture(group, unit, int(val)), bool(h), bool(f), bool(a), bool(z), int(s))
+        for val, h, f, a, z, s in zip(o.values, o.hyper, o.field, full4, zz, o.stabiliser))

@@ -126,17 +126,3 @@ def exists_bijective_morphism(p1: Pasture, p2: Pasture,
             return True
     return False
 
-
-def hyperfield_classes(group: AbelianGroup, unit,
-                       cap: int = AUTOMORPHISM_ORDER_CAP) -> tuple[Pasture, ...]:
-    """One representative pasture per isomorphism class of hyperfields."""
-    from .pastures import all_pastures, is_hyperfield_fast
-
-    seen: dict[int, Pasture] = {}
-    for p in all_pastures(group, unit):
-        if not is_hyperfield_fast(p):
-            continue
-        key = canonical_form(p, cap).bits
-        if key not in seen:
-            seen[key] = Pasture(group, unit, key)
-    return tuple(seen[k] for k in sorted(seen))

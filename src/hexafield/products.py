@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
@@ -76,15 +75,10 @@ def product_group(g1: AbelianGroup, g2: AbelianGroup):
     m1a, m2a, mp = g1.mul_array, g2.mul_array, group.mul_array
     lhs = embed[m1a[:, None, :, None], m2a[None, :, None, :]]
     rhs = mp[embed[:, :, None, None], embed[None, None, :, :]]
-    assert (lhs == rhs).all(), "embedding must be multiplicative"
+    if not (lhs == rhs).all():
+        raise AssertionError("embedding must be multiplicative")
     embed.setflags(write=False)
     return group, embed
-
-
-@dataclass(frozen=True)
-class ProductPasture:
-    factors: tuple[Pasture, Pasture]
-    result: Pasture
 
 
 def product(p1: Pasture, p2: Pasture) -> Pasture:
@@ -113,13 +107,9 @@ def product(p1: Pasture, p2: Pasture) -> Pasture:
         for i2 in range(p2.group.order):
             proj1[embed[i1, i2]] = i1
             proj2[embed[i1, i2]] = i2
-    assert is_morphism(tuple(proj1), result, p1)
-    assert is_morphism(tuple(proj2), result, p2)
+    if not (is_morphism(tuple(proj1), result, p1) and is_morphism(tuple(proj2), result, p2)):
+        raise AssertionError("projections must be pasture morphisms")
     return result
-
-
-def product_pasture(p1: Pasture, p2: Pasture) -> ProductPasture:
-    return ProductPasture((p1, p2), product(p1, p2))
 
 
 def _is_krasner_like(p: Pasture) -> bool:

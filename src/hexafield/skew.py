@@ -209,7 +209,8 @@ def skew_hexagons(g: CayleyGroup, cap: int = CAYLEY_ORDER_CAP) -> SkewHexagonTab
     if g.is_abelian:
         third_roots = sum(1 for x in range(n) if g.table[g.table[x][x]][x] == g.identity)
         expected, rem = divmod(n * n + 3 * n + 2 * third_roots, 6)
-        assert rem == 0 and table.size == expected
+        if rem or table.size != expected:
+            raise AssertionError(f"orbit count for {g.name} disagrees with the counting formula")
     return table
 
 

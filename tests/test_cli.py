@@ -48,6 +48,10 @@ def test_census_csv_shape():
     assert len(rows) == 1 and rows[0]["total_pastures"] == "4"
 
 
+def test_census_over_oracle_cap_exits_2():
+    assert invoke("census", "--group", "Z10", "--eps", "0") == (2, "")
+
+
 def test_lottery_frozen_run():
     code, text = invoke("lottery", "--group", "Z3", "--event", "star",
                         "--samples", "1000")

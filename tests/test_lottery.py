@@ -1,16 +1,24 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hexafield import lottery
 from hexafield.errors import CapacityError
-from hexafield.groups import AbelianGroup
+from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
-from hexafield.batch import bits_to_ints
-from hexafield.lottery import (Census, LotterySpec, census, class_table,
-                               estimate, sample_bits, sample_pasture,
-                               thread_count, wilson_interval)
-from hexafield.pastures import (field_f3, is_hyperfield_fast, satisfies_star,
+from hexafield.batch import Kernels, bits_to_ints
+from hexafield.lottery import (Census, Estimate, LotterySpec, census,
+                               class_table, estimate, sample_bits,
+                               sample_pasture, thread_count, wilson_interval)
+from hexafield.morphisms import canonical_form, pasture_automorphisms
+from hexafield.pastures import (all_pastures, field_f3, is_field,
+                                is_hyperfield_fast, satisfies_star,
                                 sign_hyperfield)
 
 Z2 = AbelianGroup.from_literal("Z2")
@@ -124,6 +132,28 @@ def test_estimate_thread_invariance():
     assert one == four
 
 
+def test_estimate_validation():
+    with pytest.raises(ValueError):
+        Estimate("is_field", 1, 2, Fraction(1, 3), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        Estimate("is_field", 1, 2, Fraction(1, 2), 0.6, 1.0)
+
+
+def test_estimate_validation_survives_optimize():
+    script = ("from fractions import Fraction\n"
+              "from hexafield.lottery import Estimate\n"
+              "try:\n"
+              "    Estimate('is_field', 1, 2, Fraction(1, 3), 0.0, 1.0)\n"
+              "except ValueError:\n"
+              "    raise SystemExit(0)\n"
+              "raise SystemExit(1)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_lottery_spec_validation():
     with pytest.raises(ValueError):
         LotterySpec(Z3, Z3.element_by_index(1), 42, 10)  # order-3 unit
@@ -165,6 +195,58 @@ def test_census_capacity():
         census(g, g.element_by_index(0))
 
 
+def test_census_oracle_cap_raises_before_any_chunk(monkeypatch):
+    # Z10 fits the hexagon cap (22 hexagons) but not the oracle probe
+    def no_chunks(*args):
+        raise AssertionError("a chunk ran before the capacity check")
+
+    monkeypatch.setattr(lottery, "_run_chunks", no_chunks)
+    g = AbelianGroup.from_literal("Z10")
+    assert build_table(g).size <= lottery.CENSUS_HEX_CAP
+    with pytest.raises(CapacityError):
+        census(g, g.element_by_index(0))
+
+
+def test_pool_is_clamped_to_chunk_count(monkeypatch):
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(lottery, "ThreadPoolExecutor", Recording)
+    g = AbelianGroup.from_literal("Z8")  # 2^15 nullsets: 8 chunks
+    census(g, g.element_by_index(0), threads=64)
+    assert sizes == [8]
+
+
+def test_census_matches_scalar_reference():
+    # orbit-weighted counts against the scalar predicates on every pasture
+    for g in abelian_groups_up_to(6):
+        for unit in g.units_of_order_le_2():
+            hyper = [p for p in all_pastures(g, unit) if is_hyperfield_fast(p)]
+            want = Census(g, unit, 1 << build_table(g).size, len(hyper),
+                          sum(is_field(p) for p in hyper),
+                          sum(satisfies_star(p) for p in hyper),
+                          len({canonical_form(p).bits for p in hyper}),
+                          sum(len(pasture_automorphisms(p)) == 1 for p in hyper))
+            assert census(g, unit) == want, (g.literal, unit)
+
+
+def test_census_probes_oracle_on_one_percent(monkeypatch):
+    rows = {"is_hyperfield": 0, "axiom_oracle": 0}
+    for name in rows:
+        def counted(self, ns, _name=name, _original=getattr(Kernels, name)):
+            rows[_name] += len(ns)
+            return _original(self, ns)
+        monkeypatch.setattr(Kernels, name, counted)
+    g = AbelianGroup.from_literal("Z8")
+    census(g, g.element_by_index(0), threads=1)
+    assert rows["is_hyperfield"] > 0
+    assert rows["axiom_oracle"] * 100 >= rows["is_hyperfield"]
+
+
 def test_class_table_z2():
     rows = class_table(Z2, Z2.element_by_index(1))
     assert [r.pasture.nullset for r in rows] == [1, 2, 3]
@@ -178,6 +260,23 @@ def test_class_table_z2():
     assert [r.pasture.nullset for r in star_rows] == [3]
     assert satisfies_star(star_rows[0].pasture)
     assert [r.is_field for r in rows] == [True, False, False]
+
+
+def test_class_table_rows_are_canonical():
+    hyperfield_classes = {("Z2", 1): 3, ("Z2", 0): 2, ("Z3", 0): 7}
+    for lit, unit_index in [*hyperfield_classes, ("Z2xZ2", 0), ("Z6", 3)]:
+        g = AbelianGroup.from_literal(lit)
+        unit = g.element_by_index(unit_index)
+        rows = class_table(g, unit, hyper_only=False)
+        assert len(rows) == len({canonical_form(p).bits for p in all_pastures(g, unit)})
+        for r in rows:
+            assert canonical_form(r.pasture).bits == r.pasture.nullset
+            assert r.automorphisms == len(pasture_automorphisms(r.pasture))
+            assert r.is_hyperfield == is_hyperfield_fast(r.pasture)
+        hyper = class_table(g, unit)
+        assert hyper == tuple(r for r in rows if r.is_hyperfield)
+        if (lit, unit_index) in hyperfield_classes:
+            assert len(hyper) == hyperfield_classes[lit, unit_index]
 
 
 def test_class_table_z3_counts():

@@ -3,8 +3,7 @@ import pytest
 from hexafield.groups import AbelianGroup
 from hexafield.hexagons import build_table
 from hexafield.morphisms import (are_isomorphic, canonical_form,
-                                 exists_bijective_morphism,
-                                 hyperfield_classes, is_morphism,
+                                 exists_bijective_morphism, is_morphism,
                                  pasture_automorphisms, permute_nullset)
 from hexafield.pastures import (Pasture, all_pastures, field_f3,
                                 is_hyperfield_fast, krasner, sign_hyperfield)
@@ -112,13 +111,3 @@ def test_permute_nullset_is_bitset_action():
         back = permute_nullset(table, f.inverse().images, moved)
         assert back == p.nullset
 
-
-def test_hyperfield_classes_counts():
-    g = AbelianGroup.from_literal("Z2")
-    eps = g.element((1,))
-    assert len(hyperfield_classes(g, eps)) == 3
-    assert len(hyperfield_classes(g, g.identity)) == 2
-    g3 = AbelianGroup.from_literal("Z3")
-    assert len(hyperfield_classes(g3, g3.identity)) == 7
-    for rep in hyperfield_classes(g3, g3.identity):
-        assert canonical_form(rep).bits == rep.nullset

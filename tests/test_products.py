@@ -6,8 +6,7 @@ from hexafield.morphisms import are_isomorphic
 from hexafield.pastures import (Pasture, all_pastures, field_f2, field_f3,
                                 is_hyperfield_fast, is_zero_over_zero,
                                 krasner, sign_hyperfield)
-from hexafield.products import (product, product_group, product_pasture,
-                                product_theorem_verdict)
+from hexafield.products import product, product_group, product_theorem_verdict
 
 
 def lit(name):
@@ -46,12 +45,6 @@ def test_named_products():
         assert are_isomorphic(product(krasner(), p), p)
     assert not is_hyperfield_fast(product(field_f3(), field_f3()))
     assert is_hyperfield_fast(product(sign_hyperfield(), sign_hyperfield()))
-
-
-def test_product_pasture_wrapper():
-    pp = product_pasture(field_f3(), krasner())
-    assert pp.factors == (field_f3(), krasner())
-    assert pp.result == product(field_f3(), krasner())
 
 
 def hyperfields_up_to_3():
