@@ -209,9 +209,7 @@ def _cmd_classify(ns, out):
     for unit in units:
         for row in class_table(group, unit, hyper_only=not ns.all,
                                threads=ns.threads):
-            rows.append(classify_row(row.pasture, row.is_hyperfield,
-                                     row.is_field, row.is_4full, row.is_00,
-                                     row.automorphisms))
+            rows.append(classify_row(row))
     _write_csv(out, CLASSIFY_FIELDS, rows)
 
 
@@ -248,3 +246,7 @@ def run(argv, stdout=None) -> int:
 
 def main() -> None:
     raise SystemExit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -9,7 +9,9 @@ over hexagon indices.  Addition is reconstructed from the nullset:
 
 with x + 0 = {x}.  The fast hyperfield test checks two first-order
 conditions over the nullset; the axiom oracle rebuilds the whole addition
-table and verifies every hyperfield axiom by brute force.
+table and verifies every hyperfield axiom by brute force.  The table builder
+and the axiom checker work over any group table, commutative or not, so the
+skew oracle runs through them too.
 """
 
 from __future__ import annotations
@@ -56,13 +58,6 @@ class Pasture:
 
     def has_hex(self, hid: int) -> bool:
         return bool((self.nullset >> hid) & 1)
-
-    @classmethod
-    def from_hex_ids(cls, group: AbelianGroup, unit: GroupElement, ids) -> "Pasture":
-        bits = 0
-        for h in ids:
-            bits |= 1 << h
-        return cls(group, unit, bits)
 
     @classmethod
     def from_pairs(cls, group: AbelianGroup, unit: GroupElement, pairs) -> "Pasture":
@@ -143,9 +138,6 @@ class AdditionTable:
     def carrier_size(self) -> int:
         return self.group.order + 1
 
-    def mask(self, a: int, b: int) -> int:
-        return self.masks[a][b]
-
     def sum_set(self, a: int, b: int) -> frozenset[int]:
         m = self.masks[a][b]
         return frozenset(i for i in range(self.carrier_size) if (m >> i) & 1)
@@ -156,13 +148,6 @@ class AdditionTable:
         m = self.group.mul_array
         e = self.unit.index
         return (0,) + tuple(int(m[e, x]) + 1 for x in range(self.group.order))
-
-    def one_plus_minus_one(self) -> int:
-        """Mask of 1 + (-1), the sum of the identity and the unit."""
-        return self.masks[1][self.unit.index + 1]
-
-    def covers_carrier(self, mask: int) -> bool:
-        return mask == (1 << self.carrier_size) - 1
 
     def _label(self, i: int) -> str:
         if i == 0:
@@ -185,31 +170,32 @@ class AdditionTable:
         )
 
 
+def _addition_masks(table, eps: int, selected) -> tuple[tuple[int, ...], ...]:
+    """Carrier masks of the addition over a group table (rows need not commute).
+
+    z lies in x + y exactly when selected(x, y, eps*z), and 0 exactly when
+    x = eps*y; 0 + x = x + 0 = {x}.
+    """
+    n = len(table)
+    neg = table[eps]
+    masks = [tuple(1 << j for j in range(n + 1))]
+    for x in range(n):
+        row = [1 << (x + 1)]
+        for y in range(n):
+            acc = 1 if x == neg[y] else 0
+            for z in range(n):
+                if selected(x, y, neg[z]):
+                    acc |= 1 << (z + 1)
+            row.append(acc)
+        masks.append(tuple(row))
+    return tuple(masks)
+
+
 def reconstruct_addition(pasture: Pasture) -> AdditionTable:
     """Rebuild the full carrier addition table from the nullset."""
-    g = pasture.group
-    n = g.order
-    m = g.mul_array
-    eps = pasture.unit_index
-    sel = pasture._in_nullset
-    i = g.inv_array
-    masks = [[0] * (n + 1) for _ in range(n + 1)]
-    masks[0][0] = 1
-    for j in range(n):
-        masks[0][j + 1] = 1 << (j + 1)
-        masks[j + 1][0] = 1 << (j + 1)
-    for x in range(n):
-        for y in range(n):
-            acc = 0
-            for z in range(n):
-                ez = int(m[eps, z])
-                iz = int(i[ez])
-                if sel[int(m[x, iz])][int(m[y, iz])]:
-                    acc |= 1 << (z + 1)
-            if int(m[eps, y]) == x:
-                acc |= 1
-            masks[x + 1][y + 1] = acc
-    return AdditionTable(g, pasture.unit, tuple(tuple(row) for row in masks))
+    masks = _addition_masks(pasture.group.mul_array.tolist(), pasture.unit_index,
+                            pasture._triple_selected)
+    return AdditionTable(pasture.group, pasture.unit, masks)
 
 
 # -- hyperfield tests ------------------------------------------------------
@@ -263,64 +249,54 @@ def _permute_mask(mask: int, perm) -> int:
     return out
 
 
-def axiom_oracle(pasture: Pasture, cap: int = ORACLE_ORDER_CAP) -> bool:
-    """Brute-force verdict: rebuild addition and check every axiom directly."""
-    g = pasture.group
-    if g.order > cap:
-        raise CapacityError(
-            f"axiom oracle capped at group order {cap}, {g.literal} has order {g.order}"
-        )
-    table = reconstruct_addition(pasture)
-    n = g.order
+def _check_axioms(table, eps: int, masks) -> bool:
+    """Every hyperfield axiom on carrier masks built over the group table."""
+    n = len(table)
     big = n + 1
-    b = table.masks
-    neg = table.carrier_negation
-    # nonempty sums
+    neg = (0,) + tuple(table[eps][x] + 1 for x in range(n))
+    # nonempty and commutative sums, 0 in a + c exactly when a = -c
     for a in range(big):
         for c in range(big):
-            if b[a][c] == 0:
-                return False
-    # commutativity
-    for a in range(big):
-        for c in range(a, big):
-            if b[a][c] != b[c][a]:
+            ac = masks[a][c]
+            if ac == 0 or ac != masks[c][a] or bool(ac & 1) != (a == neg[c]):
                 return False
     # zero is the hyperaddition's neutral element
-    if b[0][0] != 1:
+    if any(masks[0][j] != 1 << j for j in range(big)):
         return False
-    for j in range(1, big):
-        if b[0][j] != 1 << j or b[j][0] != 1 << j:
-            return False
-    # 0 lies in a + c exactly when a = -c
-    for a in range(big):
-        for c in range(big):
-            if bool(b[a][c] & 1) != (a == neg[c]):
-                return False
-    # scaling by any group element permutes sums
-    marr = g.mul_array
-    for t in range(n):
-        perm = [0] + [int(marr[t, x]) + 1 for x in range(n)]
-        for a in range(big):
-            for c in range(big):
-                if b[perm[a]][perm[c]] != _permute_mask(b[a][c], perm):
-                    return False
     # associativity of the set extension, via per-column union tables
     full = 1 << big
     union = []
-    for c in range(big):
+    for row in masks:
         t = [0] * full
-        row = b[c]
         for mask in range(1, full):
             low = mask & -mask
             t[mask] = t[mask ^ low] | row[low.bit_length() - 1]
         union.append(t)
     for a in range(big):
         for c in range(big):
-            ab = b[a][c]
+            ac = masks[a][c]
             for d in range(big):
-                if union[d][ab] != union[a][b[c][d]]:
+                if union[d][ac] != union[a][masks[c][d]]:
                     return False
+    # scaling by any group element, on either side, permutes sums
+    for s in range(n):
+        left = [0] + [table[s][x] + 1 for x in range(n)]
+        right = [0] + [table[x][s] + 1 for x in range(n)]
+        for perm in (left,) if left == right else (left, right):
+            for a in range(big):
+                for c in range(big):
+                    if masks[perm[a]][perm[c]] != _permute_mask(masks[a][c], perm):
+                        return False
     return True
+
+
+def axiom_oracle(pasture: Pasture, cap: int = ORACLE_ORDER_CAP) -> bool:
+    """Brute-force verdict: rebuild addition and check every axiom directly."""
+    g = pasture.group
+    if g.order > cap:
+        _capacity(g, cap)
+    table = reconstruct_addition(pasture)
+    return _check_axioms(g.mul_array.tolist(), pasture.unit_index, table.masks)
 
 
 def is_field(pasture: Pasture) -> bool:

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .groups import AbelianGroup, GroupElement
-from .lottery import Census, Estimate
+from .lottery import Census, ClassRow, Estimate
 from .pastures import Pasture
 
 
@@ -121,16 +121,15 @@ CLASSIFY_FIELDS = ("group", "epsilon", "nullset", "is_hyperfield", "is_field",
                    "is_4full", "is_00", "automorphisms")
 
 
-def classify_row(pasture: Pasture, is_hyper: bool, is_fld: bool, four_full: bool,
-                 zero_over_zero: bool, n_autos: int) -> dict:
-    blob = pasture_to_dict(pasture)
+def classify_row(row: ClassRow) -> dict:
+    blob = pasture_to_dict(row.pasture)
     return {
         "group": blob["group"],
         "epsilon": json.dumps(blob["epsilon"]),
         "nullset": json.dumps(blob["nullset"]),
-        "is_hyperfield": str(is_hyper).lower(),
-        "is_field": str(is_fld).lower(),
-        "is_4full": str(four_full).lower(),
-        "is_00": str(zero_over_zero).lower(),
-        "automorphisms": n_autos,
+        "is_hyperfield": str(row.is_hyperfield).lower(),
+        "is_field": str(row.is_field).lower(),
+        "is_4full": str(row.is_4full).lower(),
+        "is_00": str(row.is_00).lower(),
+        "automorphisms": row.automorphisms,
     }

@@ -2,7 +2,9 @@
 
 Orbits of G x G live under the six triple-permutation maps together with
 simultaneous conjugation.  Nothing here assumes commutativity or orbit size
-6; the abelian machinery is reused only as a cross-check in the tests.
+6.  The skew oracle rebuilds the addition and checks the axioms with the same
+table builder and checker as `pastures.axiom_oracle`, which work over any
+group table.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .groups import AbelianGroup
+from .pastures import _addition_masks, _check_axioms
 
 CAYLEY_ORDER_CAP = 24
 SKEW_ORACLE_CAP = 8
@@ -244,8 +247,9 @@ def skew_axiom_oracle(g: CayleyGroup, eps: int, nullset: int,
     """Reconstruct the skew addition and check the axioms directly.
 
     z lands in x + y exactly when the orbit of (x, y, eps z) is selected, with
-    the usual zero rules.  Checks nonemptiness, commutativity of the sums,
-    the negation rule for 0, associativity, and distributivity on both sides.
+    the usual zero rules.  The checker is the one `pastures.axiom_oracle`
+    uses: nonemptiness, commutativity of the sums, the zero rules,
+    associativity, and distributivity on both sides.
     """
     n = g.order
     if n > cap:
@@ -255,58 +259,6 @@ def skew_axiom_oracle(g: CayleyGroup, eps: int, nullset: int,
     table = skew_hexagons(g)
     if not 0 <= nullset < 1 << table.size:
         raise ValueError("nullset bits outside the orbit range")
-    t = g.table
-    selected = [(nullset >> h) & 1 for h in range(table.size)]
-
-    big = n + 1  # carrier: 0, then the elements
-    masks = [[0] * big for _ in range(big)]
-    masks[0][0] = 1
-    for x in range(n):
-        masks[0][x + 1] = masks[x + 1][0] = 1 << (x + 1)
-    for x in range(n):
-        for y in range(n):
-            acc = 1 if x == t[eps][y] else 0
-            for z in range(n):
-                if selected[table.orbit_of_triple(x, y, t[eps][z])]:
-                    acc |= 1 << (z + 1)
-            masks[x + 1][y + 1] = acc
-
-    for row in masks:
-        if 0 in row:
-            return False
-    for a in range(big):
-        for b in range(big):
-            if masks[a][b] != masks[b][a]:
-                return False
-            want_zero = (a == 0 and b == 0) or (
-                a > 0 and b > 0 and (a - 1) == t[eps][b - 1])
-            if bool(masks[a][b] & 1) != want_zero:
-                return False
-
-    union = [[0] * (1 << big) for _ in range(big)]
-    for c in range(big):
-        for m in range(1, 1 << big):
-            low = m & -m
-            union[c][m] = union[c][m - low] | masks[c][low.bit_length() - 1]
-    for a in range(big):
-        for b in range(big):
-            for c in range(big):
-                if union[a][masks[b][c]] != union[c][masks[a][b]]:
-                    return False
-
-    # multiplication by s on the carrier, on either side
-    for s in range(n):
-        left = [0] + [t[s][x] + 1 for x in range(n)]
-        right = [0] + [t[x][s] + 1 for x in range(n)]
-        for perm in (left, right):
-            for a in range(big):
-                for b in range(big):
-                    image = 0
-                    bits = masks[a][b]
-                    while bits:
-                        low = bits & -bits
-                        image |= 1 << perm[low.bit_length() - 1]
-                        bits -= low
-                    if image != masks[perm[a]][perm[b]]:
-                        return False
-    return True
+    masks = _addition_masks(
+        g.table, eps, lambda x, y, z: (nullset >> table.orbit_of_triple(x, y, z)) & 1)
+    return _check_axioms(g.table, eps, masks)

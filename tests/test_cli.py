@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hexafield.cli import run
 from hexafield.pastures import Pasture, field_f3, krasner, sign_hyperfield
@@ -22,6 +26,15 @@ def write_pasture(tmp_path, pasture, name):
 def test_hexcount():
     assert invoke("hexcount", "--group", "Z9") == (0, "19\n")
     assert invoke("hexcount", "--group", "Z2xZ4") == (0, "15\n")
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "hexafield.cli", "hexcount", "--group", "Z3"],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert (done.returncode, done.stdout) == (0, "4\n"), done.stderr
 
 
 def test_check_output_is_exact(tmp_path):

@@ -92,7 +92,7 @@ def test_negation_membership():
             neg = table.carrier_negation
             for a in range(table.carrier_size):
                 for b in range(table.carrier_size):
-                    assert (table.mask(a, b) & 1 != 0) == (neg[a] == b)
+                    assert (table.masks[a][b] & 1 != 0) == (neg[a] == b)
 
 
 def test_fast_check_equals_oracle_small():

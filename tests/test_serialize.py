@@ -114,8 +114,7 @@ def test_census_row():
 def test_classify_row():
     g = AbelianGroup.from_literal("Z2")
     rows = class_table(g, g.element_by_index(1))
-    encoded = [classify_row(r.pasture, r.is_hyperfield, r.is_field, r.is_4full,
-                            r.is_00, r.automorphisms) for r in rows]
+    encoded = [classify_row(r) for r in rows]
     for row in encoded:
         assert list(row) == list(CLASSIFY_FIELDS)
         assert row["group"] == "Z2"

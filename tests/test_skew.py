@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hexafield.batch import ints_to_bits, kernels_for
 from hexafield.errors import CapacityError
 from hexafield.groups import AbelianGroup
 from hexafield.hexagons import build_table, hexagon_count_formula
@@ -112,7 +113,8 @@ def test_capacity_caps():
 
 
 def test_oracle_agrees_with_abelian_oracle():
-    for lit in ["Z1", "Z2", "Z3"]:
+    # the batch oracle is the reference that shares no code with the other two
+    for lit in ["Z1", "Z2", "Z3", "Z4", "Z2xZ2"]:
         ag = AbelianGroup.from_literal(lit)
         cg = from_abelian(ag)
         st = skew_hexagons(cg)
@@ -120,13 +122,16 @@ def test_oracle_agrees_with_abelian_oracle():
         units = [i for i in range(ag.order) if ag.inv_array[i] == i]
         for ui in units:
             unit = ag.element_by_index(ui)
+            batch = kernels_for(ag, ui).axiom_oracle(
+                ints_to_bits(np.arange(1 << ht.size, dtype=np.int64), ht.size))
             for p in all_pastures(ag, unit):
                 bits = 0
                 for h in range(ht.size):
                     if (p.nullset >> h) & 1:
                         u, v = ht.members[h][0]
                         bits |= 1 << st.orbit_of_pair(u, v)
-                assert skew_axiom_oracle(cg, ui, bits) == axiom_oracle(p), \
+                assert skew_axiom_oracle(cg, ui, bits) == axiom_oracle(p) \
+                    == bool(batch[p.nullset]), \
                     (lit, ui, p.nullset)
 
 
@@ -145,6 +150,15 @@ def test_oracle_random_survey_s3():
                                  int(rng.integers(0, 1 << skew_hexagons(S3).size)))
                for _ in range(200))
     assert hits == 100
+
+
+def test_oracle_exhaustive_counts():
+    # left and right scaling differ on D4 and Q8
+    for g, eps, hits in [(S3, S3.identity, 15), (D4, 0, 63), (D4, 2, 75),
+                         (Q8, 0, 63), (Q8, 1, 75)]:
+        size = skew_hexagons(g).size
+        assert sum(skew_axiom_oracle(g, eps, bits) for bits in range(1 << size)) == hits, \
+            (g.name, eps)
 
 
 def test_oracle_eps_validation():
