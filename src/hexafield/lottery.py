@@ -20,6 +20,8 @@ from .pastures import ORACLE_ORDER_CAP, Pasture
 WILSON_Z = 1.959963984540054  # 97.5th percentile of the standard normal
 CENSUS_HEX_CAP = 22
 CLASSIFY_HEX_CAP = 16
+LOTTERY_SAMPLE_CAP = 2**30  # 262,144 chunks of 4096 samples
+LOTTERY_TENSOR_BYTES = 2**30  # float32 cross tensor per chunk of is_hyperfield / is_field
 ORACLE_SUBSAMPLE = 100  # every 100th orbit representative is re-checked against the oracle
 _CHUNK = 4096  # fixed work unit, so the thread count never moves chunk boundaries
 
@@ -28,14 +30,18 @@ def thread_count(threads: int | None = None) -> int:
     """Explicit argument, else HEXAFIELD_THREADS, else the machine."""
     if threads is None:
         env = os.environ.get("HEXAFIELD_THREADS", "").strip()
-        threads = int(env) if env else (os.cpu_count() or 1)
+        if not env:
+            return os.cpu_count() or 1
+        if not env.isdecimal() or int(env) < 1:
+            raise ValueError(f"HEXAFIELD_THREADS must be a positive integer, got {env!r}")
+        return int(env)
     if threads < 1:
         raise ValueError("thread count must be at least 1")
     return threads
 
 
-def _chunks(total: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK)]
+def _chunks(total: int, size: int = _CHUNK) -> list[tuple[int, int]]:
+    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
 def _run_chunks(work, bounds, threads):
@@ -62,19 +68,49 @@ class LotterySpec:
             raise ValueError("need at least one sample")
 
 
+# Philox4x64-10 (Random123, as in np.random.Philox): multipliers and key bumps
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product a * b, from 32-bit halves."""
+    a0, a1 = a & _LO32, a >> _S32
+    b0, b1 = b & _LO32, b >> _S32
+    cross0, cross1 = a0 * b1, a1 * b0
+    mid = ((a0 * b0) >> _S32) + (cross0 & _LO32) + (cross1 & _LO32)
+    hi = a1 * b1 + (cross0 >> _S32) + (cross1 >> _S32) + (mid >> _S32)
+    return hi, a * b
+
+
 def sample_bits(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     """Hexagon bits for sample indices [start, stop).
 
-    Bit h of sample i is a pure function of (seed, i, h): a Philox generator
-    keyed on (seed, i) supplies the words, and h picks a fixed position.
-    Chunking and thread layout therefore cannot change any sample.
+    Bit h of sample i is a pure function of (seed, i, h): bit h % 64 of
+    word h // 64 of the np.random.Philox stream keyed by the uint64 pair
+    (seed mod 2^64, i). All rows are computed at once; chunking and thread
+    layout therefore cannot change any sample.
     """
-    words = (width + 63) // 64
-    raw = np.empty((stop - start, words), dtype=np.uint64)
-    key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
-    for row, idx in enumerate(range(start, stop)):
-        key[1] = idx
-        raw[row] = np.random.Philox(key=key).random_raw(words)
+    if not 0 <= start <= stop <= 1 << 64:
+        raise ValueError(f"need 0 <= start <= stop <= 2**64, got [{start}, {stop})")
+    rows, blocks = stop - start, (width + 255) // 256  # 4 words of 64 bits per block
+    if rows == 0:
+        return np.zeros((0, width), dtype=bool)
+    # the generator bumps its counter before the first block, so block b uses b + 1
+    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (rows, 1))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    k0 = np.uint64(seed % (1 << 64))
+    k1 = np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(start)
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    raw = np.stack([c0, c1, c2, c3], axis=2).reshape(rows, 4 * blocks)
     pos = np.arange(width)
     return (raw[:, pos // 64] >> (pos % 64).astype(np.uint64)) & np.uint64(1) > 0
 
@@ -128,6 +164,15 @@ class Estimate:
 def estimate(spec: LotterySpec, event: str, threads: int | None = None) -> Estimate:
     if event not in EVENT_NAMES:
         raise ValueError(f"unknown event {event!r}; known: {list(EVENT_NAMES)}")
+    if spec.samples > LOTTERY_SAMPLE_CAP:
+        raise CapacityError(f"lottery wants {spec.samples} samples; cap is {LOTTERY_SAMPLE_CAP}")
+    rows = _CHUNK
+    if event in ("is_hyperfield", "is_field"):
+        row_bytes = spec.group.order ** 4 * 4
+        rows = min(_CHUNK, LOTTERY_TENSOR_BYTES // row_bytes)
+        if rows < 1:
+            raise CapacityError(f"{event} needs {row_bytes} bytes per sample; "
+                                f"budget is {LOTTERY_TENSOR_BYTES}")
     nthreads = thread_count(threads)
     kernels = kernels_for(spec.group, spec.unit.index)
     width = kernels.n_hex
@@ -136,7 +181,7 @@ def estimate(spec: LotterySpec, event: str, threads: int | None = None) -> Estim
         lo, hi = bounds
         return int(kernels.event(event, sample_bits(spec.seed, lo, hi, width)).sum())
 
-    successes = sum(_run_chunks(work, _chunks(spec.samples), nthreads))
+    successes = sum(_run_chunks(work, _chunks(spec.samples, rows), nthreads))
     low, high = wilson_interval(successes, spec.samples)
     return Estimate(event, successes, spec.samples,
                     Fraction(successes, spec.samples), low, high)

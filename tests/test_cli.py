@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hexafield import lottery
 from hexafield.cli import run
 from hexafield.pastures import Pasture, field_f3, krasner, sign_hyperfield
 from hexafield.serialize import dumps_pasture, loads_pasture
@@ -74,6 +75,15 @@ def test_lottery_frozen_run():
     assert doc["p_hat"] == "93/250"
     assert doc["ci_low"] == 0.34258611396233785
     assert doc["ci_high"] == 0.4023935362099642
+
+
+def test_lottery_over_sample_cap_exits_2(monkeypatch):
+    def no_chunks(*args):
+        raise AssertionError("a chunk ran before the capacity check")
+
+    monkeypatch.setattr(lottery, "_run_chunks", no_chunks)
+    assert invoke("lottery", "--group", "Z3", "--event", "star",
+                  "--samples", "1073741825") == (2, "")
 
 
 def test_lottery_alias_matches_full_name():

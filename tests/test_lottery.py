@@ -1,4 +1,6 @@
+import io
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +15,7 @@ from hexafield.errors import CapacityError
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
 from hexafield.batch import Kernels, bits_to_ints
+from hexafield.cli import run
 from hexafield.lottery import (Census, Estimate, LotterySpec, census,
                                class_table, estimate, sample_bits,
                                sample_pasture, thread_count, wilson_interval)
@@ -38,6 +41,50 @@ def test_sampling_is_deterministic():
     split = np.concatenate([sample_bits(42, 0, 37, 13), sample_bits(42, 37, 100, 13)])
     assert (bits == split).all()
     assert not (bits == sample_bits(43, 0, 100, 13)).all()
+
+
+def philox_reference(seed, start, stop, width):
+    """One np.random.Philox per sample, unpacked in sample_bits' bit order."""
+    words = (width + 63) // 64
+    raw = np.empty((stop - start, words), dtype=np.uint64)
+    for row, i in enumerate(range(start, stop)):
+        # a uint64 key array: a plain list holding an index >= 2^63 goes through float64
+        key = np.array([seed % 2**64, i], dtype=np.uint64)
+        raw[row] = np.random.Philox(key=key).random_raw(words)
+    pos = np.arange(width)
+    return (raw[:, pos // 64] >> (pos % 64).astype(np.uint64)) & np.uint64(1) > 0
+
+
+def test_sampler_matches_numpy_philox():
+    lo = int(np.random.default_rng(2024).integers(0, 2**63)) * 2
+    windows = [(0, 300), (lo, lo + 300), (2**64 - 300, 2**64)]
+    # 1 to 12 words, across the 4- and 8-word block boundaries; 715 is Z64's hexagon count
+    widths = [1, 4, 35, 64, 65, 256, 257, 715]
+    for seed in [0, 1, -3, 2**64 - 1, 2**64 + 5]:
+        for start, stop in windows:
+            for width in widths:
+                got = sample_bits(seed, start, stop, width)
+                assert got.shape == (stop - start, width)
+                assert (got == philox_reference(seed, start, stop, width)).all(), \
+                    (seed, start, width)
+
+
+def test_sampler_split_is_invisible():
+    for width in [4, 257]:
+        whole = sample_bits(5, 0, 9000, width)
+        for cut in [1, 4095, 4096]:
+            split = np.concatenate([sample_bits(5, 0, cut, width),
+                                    sample_bits(5, cut, 9000, width)])
+            assert (split == whole).all(), (width, cut)
+
+
+def test_sampler_range_validation():
+    for start, stop in [(-1, 5), (5, 4), (2**64 - 1, 2**64 + 1), (2**64 + 1, 2**64 + 1)]:
+        with pytest.raises(ValueError, match=r"0 <= start <= stop <= 2\*\*64"):
+            sample_bits(1, start, stop, 8)
+    for at in [0, 17, 2**64]:
+        empty = sample_bits(1, at, at, 70)
+        assert empty.shape == (0, 70) and empty.dtype == bool
 
 
 def test_sample_pasture_matches_bits():
@@ -130,6 +177,49 @@ def test_estimate_thread_invariance():
     one = estimate(spec, "satisfies_star", threads=1)
     four = estimate(spec, "satisfies_star", threads=4)
     assert one == four
+
+
+def test_estimate_tensor_budget_bounds_chunks(monkeypatch):
+    spec = spec_for("Z5", 0, 2000)
+    want = estimate(spec, "is_hyperfield")
+    chunk_rows = []
+    run_chunks = lottery._run_chunks
+
+    def recording(work, bounds, threads):
+        chunk_rows.extend(hi - lo for lo, hi in bounds)
+        return run_chunks(work, bounds, threads)
+
+    monkeypatch.setattr(lottery, "_run_chunks", recording)
+    assert estimate(spec, "is_hyperfield") == want
+    assert set(chunk_rows) == {2000}  # one default chunk below the budget
+    # 5^4 float32 entries per sample: a 100-sample budget gives 20 chunks
+    monkeypatch.setattr(lottery, "LOTTERY_TENSOR_BYTES", 100 * 5**4 * 4)
+    for threads in [1, 2]:
+        chunk_rows.clear()
+        assert estimate(spec, "is_hyperfield", threads=threads) == want
+        assert chunk_rows == [100] * 20
+    chunk_rows.clear()
+    estimate(spec, "satisfies_star")
+    assert chunk_rows == [2000]  # events without the cross tensor keep their chunks
+    monkeypatch.setattr(lottery, "LOTTERY_TENSOR_BYTES", 5**4 * 4 - 1)
+    chunk_rows.clear()
+    for event in ["is_hyperfield", "is_field"]:
+        with pytest.raises(CapacityError):
+            estimate(spec, event)
+    assert chunk_rows == []
+
+
+def test_tensor_budget_keeps_default_chunks_up_to_z16(monkeypatch):
+    first_chunk = []
+
+    def layout_only(work, bounds, threads):
+        first_chunk.append(bounds[0][1] - bounds[0][0])
+        return [0]
+
+    monkeypatch.setattr(lottery, "_run_chunks", layout_only)
+    for lit in ["Z13", "Z16", "Z17"]:
+        estimate(spec_for(lit, 0, 10_000), "is_hyperfield")
+    assert first_chunk == [4096, 4096, 2**30 // (17**4 * 4)]
 
 
 def test_estimate_validation():
@@ -295,3 +385,12 @@ def test_thread_count_env(monkeypatch):
     assert thread_count() >= 1
     with pytest.raises(ValueError):
         thread_count(0)
+    for bad in ["abc", "0", "-2", "1.5"]:
+        monkeypatch.setenv("HEXAFIELD_THREADS", bad)
+        with pytest.raises(ValueError, match=f"HEXAFIELD_THREADS must be a positive integer, "
+                                             f"got '{re.escape(bad)}'"):
+            thread_count()
+        assert thread_count(2) == 2
+    monkeypatch.setenv("HEXAFIELD_THREADS", "abc")
+    assert run(["lottery", "--group", "Z2", "--event", "star", "--samples", "10"],
+               stdout=io.StringIO()) == 1
