@@ -26,10 +26,9 @@ from .pastures import (AdditionTable, LinearSystem, Pasture, all_pastures,
 from .products import product, product_group, product_theorem_verdict
 from .serialize import (dumps_pasture, load_pasture_file, loads_pasture,
                         pasture_from_dict, pasture_to_dict)
-from .skew import (BUILTIN_GROUPS, CayleyGroup, SkewHexagonTable,
-                   alternating_4, burnside_orbit_count, dihedral, from_abelian,
-                   quaternion_8, skew_axiom_oracle, skew_bound, skew_hexagons,
-                   symmetric_3)
+from .skew import (BUILTIN_GROUPS, CayleyGroup, alternating_4,
+                   burnside_orbit_count, dihedral, from_abelian, quaternion_8,
+                   skew_axiom_oracle, skew_bound, skew_hexagons, symmetric_3)
 
 __all__ = [
     "AbelianGroup", "AdditionTable", "BUILTIN_GROUPS", "CanonicalForm",
@@ -37,7 +36,7 @@ __all__ = [
     "EVENT_NAMES", "Estimate", "FiniteField", "GroupAutomorphism",
     "GroupElement", "HexagonTable", "Kernels", "LinearSystem", "LotterySpec",
     "Pasture", "QuotientSpec", "QuotientVerdict",
-    "SkewHexagonTable", "abelian_groups_up_to", "all_pastures",
+    "abelian_groups_up_to", "all_pastures",
     "alternating_4", "are_isomorphic", "automorphisms_fixing", "axiom_oracle",
     "bits_to_ints", "build_field", "build_table", "burnside_orbit_count",
     "canonical_form", "census", "class_table", "dihedral", "dumps_pasture",

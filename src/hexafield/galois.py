@@ -293,8 +293,12 @@ def is_quotient_of_finite_field(
     hit always reports the least q.  When 1 + (-1) misses some element the
     search out to q - 1 = n^4 is exhaustive and a miss is a definite no; when
     it misses nothing the quartic bound does not apply and a miss is only
-    inconclusive, however far we looked.
+    inconclusive, however far we looked.  That extended search runs to
+    q - 1 = extended_bound, and raises before building any field when the
+    last q would exceed FIELD_SIZE_CAP.
     """
+    if extended_bound is not None and extended_bound < 0:
+        raise ValueError(f"extended bound must be >= 0, got {extended_bound}")
     group = pasture.group
     n = group.order
     if n > DECIDER_ORDER_CAP:
@@ -306,6 +310,8 @@ def is_quotient_of_finite_field(
     bound = n ** 4
     if full_sum:
         bound = extended_bound if extended_bound is not None else max(bound, EXTENDED_SEARCH_FLOOR)
+        if bound + 1 > FIELD_SIZE_CAP:
+            raise CapacityError(f"search to q = {bound + 1} exceeds field size cap {FIELD_SIZE_CAP}")
     for q in range(2, bound + 2):
         if (q - 1) % n:
             continue

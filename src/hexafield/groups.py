@@ -190,11 +190,10 @@ class AbelianGroup:
 
     # -- automorphisms -----------------------------------------------------
 
-    def automorphisms(self, cap: int = AUTOMORPHISM_ORDER_CAP) -> tuple["GroupAutomorphism", ...]:
-        if self.order > cap:
-            raise CapacityError(
-                f"automorphism enumeration capped at order {cap}, {self.literal} has order {self.order}"
-            )
+    def automorphisms(self) -> tuple["GroupAutomorphism", ...]:
+        if self.order > AUTOMORPHISM_ORDER_CAP:
+            raise CapacityError(f"automorphism enumeration capped at order "
+                                f"{AUTOMORPHISM_ORDER_CAP}, {self.literal} has order {self.order}")
         return _automorphisms(self)
 
     def __hash__(self):
@@ -246,6 +245,17 @@ class GroupElement:
         return f"<{','.join(map(str, self.residues))}>" if self.residues else "<>"
 
 
+def _check_multiplicative(images, src: AbelianGroup, dst: AbelianGroup) -> None:
+    """Raise unless the image table is a multiplicative map src -> dst."""
+    if len(images) != src.order:
+        raise ValueError("image table must list an image for every source element")
+    ms, md = src.mul_array, dst.mul_array
+    for a in range(src.order):
+        for b in range(a, src.order):
+            if images[int(ms[a, b])] != int(md[images[a], images[b]]):
+                raise ValueError("image table is not multiplicative")
+
+
 @dataclass(frozen=True)
 class GroupAutomorphism:
     """A bijective multiplicative self-map, stored as a full image table."""
@@ -257,11 +267,7 @@ class GroupAutomorphism:
         n = self.group.order
         if len(self.images) != n or sorted(self.images) != list(range(n)):
             raise ValueError("image table is not a permutation of the group")
-        m = self.group.mul_array
-        for a in range(n):
-            for b in range(a, n):
-                if self.images[m[a, b]] != m[self.images[a], self.images[b]]:
-                    raise ValueError("image table is not multiplicative")
+        _check_multiplicative(self.images, self.group, self.group)
 
     @property
     def is_identity(self) -> bool:
@@ -318,10 +324,9 @@ def _automorphisms(group: AbelianGroup) -> tuple[GroupAutomorphism, ...]:
     return tuple(out)
 
 
-def automorphisms_fixing(group: AbelianGroup, unit_index: int,
-                         cap: int = AUTOMORPHISM_ORDER_CAP) -> tuple[GroupAutomorphism, ...]:
+def automorphisms_fixing(group: AbelianGroup, unit_index: int) -> tuple[GroupAutomorphism, ...]:
     """Automorphisms with f(unit) = unit."""
-    return tuple(f for f in group.automorphisms(cap) if f.images[unit_index] == unit_index)
+    return tuple(f for f in group.automorphisms() if f.images[unit_index] == unit_index)
 
 
 def homomorphisms(src: AbelianGroup, dst: AbelianGroup) -> tuple[tuple[int, ...], ...]:

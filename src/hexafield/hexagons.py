@@ -6,39 +6,41 @@ yields at most six images of (u, v):
 
     (u, v), (v, u), (u v^-1, v^-1), (v^-1, u v^-1), (v u^-1, u^-1), (u^-1, v u^-1)
 
-The orbits ("hexagons") have size 1..6 and are indexed by their
-lexicographically least member pair, in ascending order of that pair.
+On a non-commutative group the orbits are closed under simultaneous
+conjugation as well; a commutative group has no inner automorphism but the
+identity, so there the orbits are the hexagons, of size 1..6.  Every table
+indexes its orbits by their lexicographically least member pair, in
+ascending order of that pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapacityError
-from .groups import AbelianGroup, GroupElement
+from .groups import AbelianGroup
+
+if TYPE_CHECKING:
+    from .skew import CayleyGroup
 
 TABLE_ORDER_CAP = 64
 
 
-def pair_images(group: AbelianGroup, u: int, v: int) -> tuple[tuple[int, int], ...]:
-    """The six images of the pair with element indices (u, v); may repeat."""
+def pair_images(group, u: int, v: int) -> tuple[tuple[int, int], ...]:
+    """The six images of the pair with element indices (u, v); may repeat.
+
+    `group` is any group with `mul_array` and `inv_array`.
+    """
     m = group.mul_array
     i = group.inv_array
     iu, iv = int(i[u]), int(i[v])
     uv = int(m[u, iv])  # u / v
     vu = int(m[v, iu])  # v / u
     return ((u, v), (v, u), (uv, iv), (iv, uv), (vu, iu), (iu, vu))
-
-
-def orbit(group: AbelianGroup, u: GroupElement, v: GroupElement) -> tuple[tuple[GroupElement, GroupElement], ...]:
-    """The hexagon through (u, v) as element pairs, sorted by index."""
-    if u.group != group or v.group != group:
-        raise ValueError("pair does not live in the given group")
-    pairs = sorted(set(pair_images(group, u.index, v.index)))
-    return tuple((group.element_by_index(a), group.element_by_index(b)) for a, b in pairs)
 
 
 def hexagon_count_formula(group: AbelianGroup) -> int:
@@ -53,9 +55,9 @@ def hexagon_count_formula(group: AbelianGroup) -> int:
 
 @dataclass(frozen=True)
 class HexagonTable:
-    """Complete hexagon index for one group."""
+    """Complete hexagon (or skew orbit) index for one group."""
 
-    group: AbelianGroup
+    group: AbelianGroup | CayleyGroup
     reps: tuple[tuple[int, int], ...]
     members: tuple[tuple[tuple[int, int], ...], ...]
     pair_to_hex: np.ndarray = field(compare=False, repr=False)
@@ -81,34 +83,58 @@ class HexagonTable:
         return hash((self.group, self.reps))
 
 
-@lru_cache(maxsize=None)
-def _build(group: AbelianGroup) -> HexagonTable:
-    n = group.order
-    pair_to_hex = np.full((n, n), -1, dtype=np.int64)
+def orbit_table(group) -> HexagonTable:
+    """Orbit table of any group with `mul_array` and `inv_array`, uncached.
+
+    The six maps permute the coordinates of a triple and conjugation
+    commutes with them, so the orbit of (u, v) is every conjugate of its
+    six images: one step closes it.
+    """
+    m = group.mul_array.tolist()
+    inv = group.inv_array.tolist()
+    n = len(inv)
+    identity = tuple(range(n))
+    # the distinct non-identity inner automorphisms x -> c x c^-1
+    conjugations = {tuple(m[m[c][x]][inv[c]] for x in range(n)) for c in range(n)}
+    conjugations.discard(identity)
+    pair_to_hex = [[-1] * n for _ in range(n)]
     reps: list[tuple[int, int]] = []
     members: list[tuple[tuple[int, int], ...]] = []
     for u in range(n):
         for v in range(n):
-            if pair_to_hex[u, v] >= 0:
+            if pair_to_hex[u][v] >= 0:
                 continue
             # sweeping pairs in ascending order, the first pair seen in an
             # orbit is its lexicographic minimum
-            images = sorted(set(pair_images(group, u, v)))
+            images = set(pair_images(group, u, v))
+            images.update([(c[a], c[b]) for c in conjugations for a, b in images])
             hid = len(reps)
             reps.append((u, v))
-            members.append(tuple(images))
+            members.append(tuple(sorted(images)))
             for a, b in images:
-                pair_to_hex[a, b] = hid
-    table = HexagonTable(group, tuple(reps), tuple(members), pair_to_hex)
-    if table.size != hexagon_count_formula(group):
-        raise AssertionError(f"hexagon table for {group.literal} disagrees with the counting formula")
-    return table
+                pair_to_hex[a][b] = hid
+    if not conjugations:
+        # commutative: the count must be (n^2 + 3n + 2 #G[3]) / 6
+        one = m[0][inv[0]]
+        third_roots = sum(1 for x in range(n) if m[m[x][x]][x] == one)
+        expected, rem = divmod(n * n + 3 * n + 2 * third_roots, 6)
+        if rem or len(reps) != expected:
+            raise AssertionError(
+                f"{len(reps)} hexagons on a commutative group of order {n} "
+                "disagree with the counting formula")
+    table = np.array(pair_to_hex, dtype=np.int64)
+    table.setflags(write=False)
+    return HexagonTable(group, tuple(reps), tuple(members), table)
 
 
-def build_table(group: AbelianGroup, cap: int = TABLE_ORDER_CAP) -> HexagonTable:
-    """Build (and cache) the full hexagon table for a group of order <= cap."""
-    if group.order > cap:
+_build = lru_cache(maxsize=None)(orbit_table)
+
+
+def build_table(group: AbelianGroup) -> HexagonTable:
+    """Build (and cache) the full hexagon table for a group of order <= TABLE_ORDER_CAP."""
+    if group.order > TABLE_ORDER_CAP:
         raise CapacityError(
-            f"hexagon table capped at group order {cap}, {group.literal} has order {group.order}"
+            f"hexagon table capped at group order {TABLE_ORDER_CAP}, "
+            f"{group.literal} has order {group.order}"
         )
     return _build(group)

@@ -260,11 +260,10 @@ class Census:
     rigid_count: int
 
 
-def census(group: AbelianGroup, unit: GroupElement,
-           threads: int | None = None, hex_cap: int = CENSUS_HEX_CAP) -> Census:
+def census(group: AbelianGroup, unit: GroupElement, threads: int | None = None) -> Census:
     """Exact counts over every nullset on (group, unit): each canonical
     representative is weighted by its orbit size."""
-    o = _orbits(group, unit, threads, hex_cap, "census")
+    o = _orbits(group, unit, threads, CENSUS_HEX_CAP, "census")
     total = 1 << build_table(group).size
     hyperfields = int(o.orbit[o.hyper].sum())
     fields = int(o.orbit[o.field].sum())
@@ -289,10 +288,9 @@ class ClassRow:
 
 
 def class_table(group: AbelianGroup, unit: GroupElement, hyper_only: bool = True,
-                threads: int | None = None,
-                hex_cap: int = CLASSIFY_HEX_CAP) -> tuple[ClassRow, ...]:
+                threads: int | None = None) -> tuple[ClassRow, ...]:
     """One row per isomorphism class, in canonical nullset order."""
-    o = _orbits(group, unit, threads, hex_cap, "classification")
+    o = _orbits(group, unit, threads, CLASSIFY_HEX_CAP, "classification")
     if hyper_only:
         o = _Orbits(*(col[o.hyper] for col in o))
     kernels = kernels_for(group, unit.index)

@@ -13,24 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import (
-    AUTOMORPHISM_ORDER_CAP,
-    AbelianGroup,
-    GroupAutomorphism,
-    automorphisms_fixing,
-)
-from .hexagons import HexagonTable, build_table
+from .groups import AbelianGroup, GroupAutomorphism, _check_multiplicative
+from .hexagons import HexagonTable
 from .pastures import Pasture
-
-
-def _check_multiplicative(images, src: AbelianGroup, dst: AbelianGroup) -> None:
-    if len(images) != src.order:
-        raise ValueError("candidate map must list an image for every source element")
-    ms, md = src.mul_array, dst.mul_array
-    for a in range(src.order):
-        for b in range(a, src.order):
-            if images[int(ms[a, b])] != int(md[images[a], images[b]]):
-                raise ValueError("candidate map is not multiplicative")
 
 
 def is_morphism(images, src: Pasture, dst: Pasture) -> bool:
@@ -66,15 +51,17 @@ def permute_nullset(table: HexagonTable, images, nullset: int) -> int:
     return out
 
 
-def pasture_automorphisms(pasture: Pasture,
-                          cap: int = AUTOMORPHISM_ORDER_CAP) -> tuple[GroupAutomorphism, ...]:
-    """Unit-preserving group automorphisms that fix the nullset."""
+def _images(pasture: Pasture, unit_to: int):
+    """(f, f(nullset)) for every group automorphism f with f(unit) = unit_to."""
     table = pasture.hex_table
-    out = []
-    for f in automorphisms_fixing(pasture.group, pasture.unit_index, cap):
-        if permute_nullset(table, f.images, pasture.nullset) == pasture.nullset:
-            out.append(f)
-    return tuple(out)
+    for f in pasture.group.automorphisms():
+        if f.images[pasture.unit_index] == unit_to:
+            yield f, permute_nullset(table, f.images, pasture.nullset)
+
+
+def pasture_automorphisms(pasture: Pasture) -> tuple[GroupAutomorphism, ...]:
+    """Unit-preserving group automorphisms that fix the nullset."""
+    return tuple(f for f, bits in _images(pasture, pasture.unit_index) if bits == pasture.nullset)
 
 
 @dataclass(frozen=True)
@@ -86,43 +73,24 @@ class CanonicalForm:
     bits: int
 
 
-def canonical_form(pasture: Pasture, cap: int = AUTOMORPHISM_ORDER_CAP) -> CanonicalForm:
+def canonical_form(pasture: Pasture) -> CanonicalForm:
     """Minimal nullset bitset over unit-preserving automorphisms."""
-    table = pasture.hex_table
-    best = min(
-        permute_nullset(table, f.images, pasture.nullset)
-        for f in automorphisms_fixing(pasture.group, pasture.unit_index, cap)
-    )
+    best = min(bits for _, bits in _images(pasture, pasture.unit_index))
     return CanonicalForm(pasture.group, pasture.unit_index, best)
 
 
-def are_isomorphic(p1: Pasture, p2: Pasture, cap: int = AUTOMORPHISM_ORDER_CAP) -> bool:
+def are_isomorphic(p1: Pasture, p2: Pasture) -> bool:
     """Is there a bijective multiplicative map with equal nullsets?"""
     if p1.group != p2.group:
         return False
-    table = p1.hex_table
-    for f in p1.group.automorphisms(cap):
-        if f.images[p1.unit_index] != p2.unit_index:
-            continue
-        if permute_nullset(table, f.images, p1.nullset) == p2.nullset:
-            return True
-    return False
+    return any(bits == p2.nullset for _, bits in _images(p1, p2.unit_index))
 
 
-def exists_bijective_morphism(p1: Pasture, p2: Pasture,
-                              cap: int = AUTOMORPHISM_ORDER_CAP) -> bool:
+def exists_bijective_morphism(p1: Pasture, p2: Pasture) -> bool:
     """Is there a bijective morphism p1 -> p2 (containment, not equality)?"""
     if p1.group.order != p2.group.order:
         raise ValueError("bijective morphisms need groups of equal order")
     if p1.group != p2.group:
         # equal order but different invariant factors: not isomorphic as groups
         return False
-    table = p1.hex_table
-    for f in p1.group.automorphisms(cap):
-        if f.images[p1.unit_index] != p2.unit_index:
-            continue
-        mapped = permute_nullset(table, f.images, p1.nullset)
-        if mapped & ~p2.nullset == 0:
-            return True
-    return False
-
+    return any(bits & ~p2.nullset == 0 for _, bits in _images(p1, p2.unit_index))

@@ -290,11 +290,10 @@ def _check_axioms(table, eps: int, masks) -> bool:
     return True
 
 
-def axiom_oracle(pasture: Pasture, cap: int = ORACLE_ORDER_CAP) -> bool:
+def axiom_oracle(pasture: Pasture) -> bool:
     """Brute-force verdict: rebuild addition and check every axiom directly."""
     g = pasture.group
-    if g.order > cap:
-        _capacity(g, cap)
+    _check_oracle_order(g)
     table = reconstruct_addition(pasture)
     return _check_axioms(g.mul_array.tolist(), pasture.unit_index, table.masks)
 
@@ -337,13 +336,12 @@ def satisfies_star(pasture: Pasture) -> bool:
     return True
 
 
-def is_4full(pasture: Pasture, cap: int = ORACLE_ORDER_CAP) -> bool:
+def is_4full(pasture: Pasture) -> bool:
     """0 lies in every four-fold sum of nonzero elements (and P is not F2)."""
     g = pasture.group
     if g.order == 1 and pasture.nullset == 0:
         return False
-    if g.order > cap:
-        _capacity(g, cap)
+    _check_oracle_order(g)
     table = reconstruct_addition(pasture)
     b = table.masks
     neg = table.carrier_negation
@@ -359,15 +357,16 @@ def is_4full(pasture: Pasture, cap: int = ORACLE_ORDER_CAP) -> bool:
     return True
 
 
-def _capacity(g: AbelianGroup, cap: int):
-    raise CapacityError(f"addition table capped at group order {cap}, {g.literal} has order {g.order}")
+def _check_oracle_order(g: AbelianGroup) -> None:
+    if g.order > ORACLE_ORDER_CAP:
+        raise CapacityError(f"addition table capped at group order {ORACLE_ORDER_CAP}, "
+                            f"{g.literal} has order {g.order}")
 
 
-def is_zero_over_zero(pasture: Pasture, cap: int = ORACLE_ORDER_CAP) -> bool:
+def is_zero_over_zero(pasture: Pasture) -> bool:
     """Every x is a ratio r/s of nonzero elements of 1 + (-1)."""
     g = pasture.group
-    if g.order > cap:
-        _capacity(g, cap)
+    _check_oracle_order(g)
     n = g.order
     m = g.mul_array
     eps = pasture.unit_index
@@ -433,15 +432,17 @@ def _row_sum_mask(table: AdditionTable, row, xs) -> int:
     return acc
 
 
-def fetvins_check(table: AdditionTable, system: LinearSystem,
-                  m_cap: int = FETVINS_M_CAP, carrier_cap: int = FETVINS_CARRIER_CAP) -> bool:
+def _check_fetvins_size(table: AdditionTable, m: int) -> None:
+    if m > FETVINS_M_CAP:
+        raise CapacityError(f"linear system solving capped at m = {FETVINS_M_CAP}, got m = {m}")
+    if table.carrier_size > FETVINS_CARRIER_CAP:
+        raise CapacityError(f"linear system solving capped at carrier size "
+                            f"{FETVINS_CARRIER_CAP}, got {table.carrier_size}")
+
+
+def fetvins_check(table: AdditionTable, system: LinearSystem) -> bool:
     """Does the system have a nonzero solution over the carrier?"""
-    if system.m > m_cap:
-        raise CapacityError(f"linear system solving capped at m = {m_cap}, got m = {system.m}")
-    if table.carrier_size > carrier_cap:
-        raise CapacityError(
-            f"linear system solving capped at carrier size {carrier_cap}, got {table.carrier_size}"
-        )
+    _check_fetvins_size(table, system.m)
     big = table.carrier_size
     for xs in itertools.product(range(big), repeat=system.m + 1):
         if not any(xs):
@@ -451,15 +452,9 @@ def fetvins_check(table: AdditionTable, system: LinearSystem,
     return False
 
 
-def fetvins_exhaustive(table: AdditionTable, m: int,
-                       m_cap: int = FETVINS_M_CAP, carrier_cap: int = FETVINS_CARRIER_CAP) -> bool:
+def fetvins_exhaustive(table: AdditionTable, m: int) -> bool:
     """Do all m-equation systems over this carrier have nonzero solutions?"""
-    if m > m_cap:
-        raise CapacityError(f"linear system solving capped at m = {m_cap}, got m = {m}")
-    if table.carrier_size > carrier_cap:
-        raise CapacityError(
-            f"linear system solving capped at carrier size {carrier_cap}, got {table.carrier_size}"
-        )
+    _check_fetvins_size(table, m)
     big = table.carrier_size
     vectors = [xs for xs in itertools.product(range(big), repeat=m + 1) if any(xs)]
     # solutions-of-row bitmask over the vector list, then systems are

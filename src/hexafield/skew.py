@@ -1,15 +1,16 @@
-"""Hexagon orbits over arbitrary finite groups and the skew axiom oracle.
+"""Cayley-table groups, their hexagon orbits and the skew axiom oracle.
 
 Orbits of G x G live under the six triple-permutation maps together with
-simultaneous conjugation.  Nothing here assumes commutativity or orbit size
-6.  The skew oracle rebuilds the addition and checks the axioms with the same
-table builder and checker as `pastures.axiom_oracle`, which work over any
-group table.
+simultaneous conjugation; `hexagons.orbit_table` builds them over any group
+table, so nothing here assumes commutativity or orbit size 6.  The skew
+oracle rebuilds the addition and checks the axioms with the same mask
+builder and checker as `pastures.axiom_oracle`, which work over any group
+table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .groups import AbelianGroup
+from .hexagons import HexagonTable, orbit_table, pair_images
 from .pastures import _addition_masks, _check_axioms
 
 CAYLEY_ORDER_CAP = 24
@@ -48,8 +50,12 @@ class CayleyGroup:
         return len(self.table)
 
     @cached_property
-    def mul(self) -> np.ndarray:
+    def mul_array(self) -> np.ndarray:
         return np.array(self.table, dtype=np.int64)
+
+    @cached_property
+    def inv_array(self) -> np.ndarray:
+        return np.array(self.inverse, dtype=np.int64)
 
     @cached_property
     def identity(self) -> int:
@@ -149,72 +155,12 @@ BUILTIN_GROUPS = {
 }
 
 
-@dataclass(frozen=True)
-class SkewHexagonTable:
-    group: CayleyGroup
-    orbits: tuple[tuple[tuple[int, int], ...], ...]
-    pair_to_orbit: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.orbits)
-
-    def orbit_of_pair(self, u: int, v: int) -> int:
-        return int(self.pair_to_orbit[u, v])
-
-    def orbit_of_triple(self, x: int, y: int, z: int) -> int:
-        g = self.group
-        iz = g.inverse[z]
-        return int(self.pair_to_orbit[g.table[x][iz], g.table[y][iz]])
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(o) for o in self.orbits)
-
-
-def _pair_images(g: CayleyGroup, u: int, v: int) -> list[tuple[int, int]]:
-    t, iv = g.table, g.inverse
-    return [
-        (u, v),
-        (v, u),
-        (t[u][iv[v]], iv[v]),
-        (iv[u], t[v][iv[u]]),
-        (t[v][iv[u]], iv[u]),
-        (iv[v], t[u][iv[v]]),
-    ]
-
-
-def skew_hexagons(g: CayleyGroup, cap: int = CAYLEY_ORDER_CAP) -> SkewHexagonTable:
-    n = g.order
-    if n > cap:
-        raise CapacityError(f"orbit enumeration is capped at order {cap}, got {n}")
-    assigned = np.full((n, n), -1, dtype=np.int64)
-    orbits = []
-    for u0 in range(n):
-        for v0 in range(n):
-            if assigned[u0, v0] >= 0:
-                continue
-            oid = len(orbits)
-            stack = [(u0, v0)]
-            assigned[u0, v0] = oid
-            members = []
-            while stack:
-                u, v = stack.pop()
-                members.append((u, v))
-                nbrs = _pair_images(g, u, v)
-                nbrs += [(g.conjugate(c, u), g.conjugate(c, v)) for c in range(n)]
-                for uu, vv in nbrs:
-                    if assigned[uu, vv] < 0:
-                        assigned[uu, vv] = oid
-                        stack.append((uu, vv))
-            orbits.append(tuple(sorted(members)))
-    assigned.setflags(write=False)
-    table = SkewHexagonTable(g, tuple(orbits), assigned)
-    if g.is_abelian:
-        third_roots = sum(1 for x in range(n) if g.table[g.table[x][x]][x] == g.identity)
-        expected, rem = divmod(n * n + 3 * n + 2 * third_roots, 6)
-        if rem or table.size != expected:
-            raise AssertionError(f"orbit count for {g.name} disagrees with the counting formula")
-    return table
+def skew_hexagons(g: CayleyGroup) -> HexagonTable:
+    """Orbits of G x G under the six maps and conjugation, uncached."""
+    if g.order > CAYLEY_ORDER_CAP:
+        raise CapacityError(
+            f"orbit enumeration is capped at order {CAYLEY_ORDER_CAP}, got {g.order}")
+    return orbit_table(g)
 
 
 def skew_bound(g: CayleyGroup) -> int:
@@ -231,19 +177,16 @@ def burnside_orbit_count(g: CayleyGroup) -> int:
     total = 0
     for c in range(n):
         conj = [g.conjugate(c, x) for x in range(n)]
-        for which in range(6):
-            for u in range(n):
-                for v in range(n):
-                    if _pair_images(g, conj[u], conj[v])[which] == (u, v):
-                        total += 1
+        for u in range(n):
+            for v in range(n):
+                total += pair_images(g, conj[u], conj[v]).count((u, v))
     count, rem = divmod(total, 6 * n)
     if rem:
         raise AssertionError("fixed-point total must divide evenly")
     return count
 
 
-def skew_axiom_oracle(g: CayleyGroup, eps: int, nullset: int,
-                      cap: int = SKEW_ORACLE_CAP) -> bool:
+def skew_axiom_oracle(g: CayleyGroup, eps: int, nullset: int) -> bool:
     """Reconstruct the skew addition and check the axioms directly.
 
     z lands in x + y exactly when the orbit of (x, y, eps z) is selected, with
@@ -252,13 +195,18 @@ def skew_axiom_oracle(g: CayleyGroup, eps: int, nullset: int,
     associativity, and distributivity on both sides.
     """
     n = g.order
-    if n > cap:
-        raise CapacityError(f"skew oracle is capped at order {cap}, got {n}")
+    if n > SKEW_ORACLE_CAP:
+        raise CapacityError(f"skew oracle is capped at order {SKEW_ORACLE_CAP}, got {n}")
     if eps not in g.center or g.table[eps][eps] != g.identity:
         raise ValueError("the unit must be a central self-inverse element")
     table = skew_hexagons(g)
     if not 0 <= nullset < 1 << table.size:
         raise ValueError("nullset bits outside the orbit range")
-    masks = _addition_masks(
-        g.table, eps, lambda x, y, z: (nullset >> table.orbit_of_triple(x, y, z)) & 1)
-    return _check_axioms(g.table, eps, masks)
+    p2h, t, inv = table.pair_to_hex.tolist(), g.table, g.inverse
+
+    def selected(x, y, z):
+        # the orbit of the triple (x, y, z), normalized by z
+        return (nullset >> p2h[t[x][inv[z]]][t[y][inv[z]]]) & 1
+
+    masks = _addition_masks(t, eps, selected)
+    return _check_axioms(t, eps, masks)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hexafield import lottery
+from hexafield import galois, lottery
 from hexafield.cli import run
 from hexafield.pastures import Pasture, field_f3, krasner, sign_hyperfield
 from hexafield.serialize import dumps_pasture, loads_pasture
@@ -122,6 +122,25 @@ def test_isquotient_inconclusive(tmp_path):
                                 "witness": None}
     code, text = invoke("isquotient", "--pasture", path, "--bound", "100")
     assert json.loads(text)["status"] == "inconclusive_full_sum"
+
+
+def test_isquotient_bound_is_checked(tmp_path, monkeypatch):
+    def no_fields(*args):
+        raise AssertionError("a field was built before the bound was checked")
+
+    sign = write_pasture(tmp_path, sign_hyperfield(), "s.json")  # a full sum
+    f3 = write_pasture(tmp_path, field_f3(), "f3.json")  # not a full sum
+    monkeypatch.setattr(galois, "build_field", no_fields)
+    assert invoke("isquotient", "--pasture", sign, "--bound", "-5") == (1, "")
+    assert invoke("isquotient", "--pasture", f3, "--bound", "-5") == (1, "")
+    # the last candidate q = bound + 1 would be over FIELD_SIZE_CAP
+    assert invoke("isquotient", "--pasture", sign, "--bound", "1000000") == (2, "")
+    assert invoke("isquotient", "--pasture", sign, "--bound", "10000000") == (2, "")
+    monkeypatch.undo()
+    # the quartic search of a pasture without a full sum ignores the bound
+    code, text = invoke("isquotient", "--pasture", f3, "--bound", "10000000")
+    assert code == 0
+    assert json.loads(text) == {"status": "quotient", "witness": {"q": 3, "index": 2}}
 
 
 def test_product_output_reparses(tmp_path):

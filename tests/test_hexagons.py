@@ -1,11 +1,11 @@
+import hashlib
 import time
 
 import pytest
 
 from hexafield.errors import CapacityError
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
-from hexafield.hexagons import (build_table, hexagon_count_formula, orbit,
-                                pair_images)
+from hexafield.hexagons import build_table, hexagon_count_formula, pair_images
 
 
 def test_formula_known_values():
@@ -78,9 +78,21 @@ def test_orbit_of_elements():
     g = AbelianGroup.from_literal("Z3")
     one = g.identity
     w = g.element((1,))
-    pairs = orbit(g, one, w)
+    table = build_table(g)
+    pairs = table.members[table.hex_of_pair(one.index, w.index)]
     assert len(pairs) in (1, 2, 3, 6)
-    assert (one, w) in pairs
+    assert (one.index, w.index) in pairs
+
+
+def test_tables_are_pinned_up_to_64():
+    # any change to the reps, members or pair_to_hex of a table moves this
+    digest = hashlib.sha256()
+    for g in abelian_groups_up_to(64):
+        table = build_table(g)
+        digest.update(repr((g.literal, table.reps, table.members)).encode())
+        digest.update(table.pair_to_hex.tobytes())
+    assert digest.hexdigest() == \
+        "55f815f606953f10ef115c8c7a994ecd02b8eab5a73083dce5365e8a5258e62d"
 
 
 def test_table_cap():

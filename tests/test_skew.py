@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from hexafield.batch import ints_to_bits, kernels_for
 from hexafield.errors import CapacityError
-from hexafield.groups import AbelianGroup
+from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table, hexagon_count_formula
 from hexafield.pastures import all_pastures, axiom_oracle
 from hexafield.skew import (BUILTIN_GROUPS, CayleyGroup, alternating_4,
@@ -53,22 +55,20 @@ def test_conjugation_and_inverse():
                 assert g.conjugate(g.inverse[a], c) == x
 
 
-ABELIAN_LITERALS = ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z2xZ4",
-                    "Z3xZ3", "Z9"]
-
-
 def test_abelian_wrap_matches_hexagons():
-    for lit in ABELIAN_LITERALS:
-        ag = AbelianGroup.from_literal(lit)
+    for ag in abelian_groups_up_to(24):
+        lit = ag.literal
         cg = from_abelian(ag)
         assert cg.is_abelian
         table = skew_hexagons(cg)
         assert table.size == hexagon_count_formula(ag), lit
         assert table.size == burnside_orbit_count(cg), lit
         ht = build_table(ag)
+        assert table.members == ht.members, lit
+        assert (table.pair_to_hex == ht.pair_to_hex).all(), lit
         for h in range(ht.size):
-            ids = {table.orbit_of_pair(u, v) for (u, v) in ht.members[h]}
-            assert len(ids) == 1, (lit, h)
+            ids = {table.hex_of_pair(u, v) for (u, v) in ht.members[h]}
+            assert ids == {h}, (lit, h)
 
 
 NONCOMMUTATIVE_COUNTS = [(S3, 5, 8), (D4, 9, 13), (Q8, 9, 13),
@@ -88,15 +88,24 @@ def test_noncommutative_orbit_counts():
 def test_orbits_partition_and_close():
     table = skew_hexagons(S3)
     seen = set()
-    for orbit in table.orbits:
+    for orbit in table.members:
         assert seen.isdisjoint(orbit)
         seen.update(orbit)
         for (u, v) in orbit:
-            assert table.orbit_of_pair(v, u) == table.orbit_of_pair(u, v)
+            assert table.hex_of_pair(v, u) == table.hex_of_pair(u, v)
             for c in range(S3.order):
                 cu, cv = S3.conjugate(c, u), S3.conjugate(c, v)
-                assert table.orbit_of_pair(cu, cv) == table.orbit_of_pair(u, v)
+                assert table.hex_of_pair(cu, cv) == table.hex_of_pair(u, v)
     assert len(seen) == S3.order ** 2
+
+
+def test_noncommutative_orbits_are_pinned():
+    # any change to the orbits of a built-in group or their order moves this
+    digest = hashlib.sha256()
+    for g in [S3, D4, Q8, D6, A4]:
+        digest.update(repr((g.name, skew_hexagons(g).members)).encode())
+    assert digest.hexdigest() == \
+        "49abc129781d29d97152d5a72331edc43f10dbf2d240843b6452cf1722fcd009"
 
 
 def test_bound_rejects_abelian():
@@ -129,7 +138,7 @@ def test_oracle_agrees_with_abelian_oracle():
                 for h in range(ht.size):
                     if (p.nullset >> h) & 1:
                         u, v = ht.members[h][0]
-                        bits |= 1 << st.orbit_of_pair(u, v)
+                        bits |= 1 << st.hex_of_pair(u, v)
                 assert skew_axiom_oracle(cg, ui, bits) == axiom_oracle(p) \
                     == bool(batch[p.nullset]), \
                     (lit, ui, p.nullset)
