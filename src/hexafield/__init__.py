@@ -10,19 +10,18 @@ from .galois import (FiniteField, QuotientSpec, QuotientVerdict, build_field,
                      factor_prime_power, is_quotient_of_finite_field,
                      one_minus_one_is_everything, quotient_hyperfield)
 from .groups import (AbelianGroup, GroupAutomorphism, GroupElement,
-                     abelian_groups_up_to, automorphisms_fixing, homomorphisms)
+                     abelian_groups_up_to, automorphisms_fixing)
 from .hexagons import HexagonTable, build_table, hexagon_count_formula
 from .lottery import (Census, ClassRow, Estimate, LotterySpec, census,
                       class_table, estimate, sample_bits, sample_pasture,
                       thread_count, wilson_interval)
 from .morphisms import (CanonicalForm, are_isomorphic, canonical_form,
-                        exists_bijective_morphism, is_morphism,
-                        pasture_automorphisms)
-from .pastures import (AdditionTable, LinearSystem, Pasture, all_pastures,
-                       axiom_oracle, fetvins_check, fetvins_exhaustive,
-                       field_f2, field_f3, is_4full, is_field,
-                       is_hyperfield_fast, is_zero_over_zero, krasner,
-                       reconstruct_addition, satisfies_star, sign_hyperfield)
+                        is_morphism, pasture_automorphisms)
+from .pastures import (AdditionTable, Pasture, all_pastures, axiom_oracle,
+                       fetvins_exhaustive, field_f2, field_f3, is_4full,
+                       is_field, is_hyperfield_fast, is_zero_over_zero,
+                       krasner, reconstruct_addition, satisfies_star,
+                       sign_hyperfield)
 from .products import product, product_group, product_theorem_verdict
 from .serialize import (dumps_pasture, load_pasture_file, loads_pasture,
                         pasture_from_dict, pasture_to_dict)
@@ -34,15 +33,14 @@ __all__ = [
     "AbelianGroup", "AdditionTable", "BUILTIN_GROUPS", "CanonicalForm",
     "CapacityError", "CayleyGroup", "Census", "ClassRow",
     "EVENT_NAMES", "Estimate", "FiniteField", "GroupAutomorphism",
-    "GroupElement", "HexagonTable", "Kernels", "LinearSystem", "LotterySpec",
+    "GroupElement", "HexagonTable", "Kernels", "LotterySpec",
     "Pasture", "QuotientSpec", "QuotientVerdict",
     "abelian_groups_up_to", "all_pastures",
     "alternating_4", "are_isomorphic", "automorphisms_fixing", "axiom_oracle",
     "bits_to_ints", "build_field", "build_table", "burnside_orbit_count",
     "canonical_form", "census", "class_table", "dihedral", "dumps_pasture",
-    "estimate", "exists_bijective_morphism", "factor_prime_power",
-    "fetvins_check", "fetvins_exhaustive", "field_f2", "field_f3",
-    "from_abelian", "hexagon_count_formula", "homomorphisms",
+    "estimate", "factor_prime_power", "fetvins_exhaustive", "field_f2",
+    "field_f3", "from_abelian", "hexagon_count_formula",
     "ints_to_bits", "is_4full", "is_field",
     "is_hyperfield_fast", "is_morphism", "is_quotient_of_finite_field",
     "is_zero_over_zero", "kernels_for", "krasner", "load_pasture_file",

@@ -43,10 +43,6 @@ class Kernels:
         return self.group.mul_array
 
     @cached_property
-    def _iv(self) -> np.ndarray:
-        return self.group.inv_array
-
-    @cached_property
     def _em(self) -> np.ndarray:
         # multiplication by the unit
         return self._m[self.unit_index]
@@ -57,9 +53,8 @@ class Kernels:
 
     @cached_property
     def _hid3(self) -> np.ndarray:
-        # hexagon of the triple (x, y, z), normalized by the third coordinate
-        a = self._m[:, self._iv]  # a[x, z] = x / z
-        return self._hid2[a[:, None, :], a[None, :, :]]
+        # hexagon of the triple (x, y, z), shared by every unit of the group
+        return build_table(self.group).triple_to_hex
 
     @cached_property
     def _hid3e(self) -> np.ndarray:
@@ -169,9 +164,8 @@ class Kernels:
     @cached_property
     def _four_index(self):
         n = self.group.order
-        m, iv, em, hid2 = self._m, self._iv, self._em, self._hid2
-        q = iv[em]  # q[t] = (unit * t)^-1
-        h41 = hid2[q[None, :], m[:, q]]  # [b, t] = hex(1, b, unit*t)
+        em = self._em
+        h41 = self._hid3e[0]  # [b, t] = hex(1, b, unit*t)
         grid = np.arange(n)
         b, c, d = np.ix_(grid, grid, grid)
         trivial = (b == self.unit_index) & (c == em[d.reshape(-1)].reshape(1, 1, n))
@@ -188,15 +182,9 @@ class Kernels:
             ok &= ns.any(axis=1)  # F2 is excluded by definition
         return ok
 
-    @cached_property
-    def _ratio_index(self):
-        q = self._iv[self._em]
-        hse = self._hid2[q, self._m[self.unit_index][q]]  # [z] = hex(1, unit, unit*z)
-        return hse
-
     def one_plus_minus_one(self, ns: np.ndarray) -> np.ndarray:
         """(S, n) bool: nonzero membership bits of 1 + (-1)."""
-        return ns[:, self._ratio_index]
+        return ns[:, self._hid3e[0, self.unit_index]]
 
     def is_zero_over_zero(self, ns: np.ndarray) -> np.ndarray:
         s_mask = self.one_plus_minus_one(ns)

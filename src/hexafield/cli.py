@@ -66,19 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "hyperfields they reconstruct.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        return p
-
-    p = add("hexcount", "number of hexagons over an abelian group")
+    p = sub.add_parser("hexcount", help="number of hexagons over an abelian group")
     p.add_argument("--group", required=True)
 
-    p = add("census", "exhaustive counts per unit as CSV")
+    p = sub.add_parser("census", help="exhaustive counts per unit as CSV")
     p.add_argument("--group", required=True)
     p.add_argument("--eps", default=None)
     p.add_argument("--threads", type=int, default=None)
 
-    p = add("lottery", "Monte Carlo estimate of an event probability")
+    p = sub.add_parser("lottery", help="Monte Carlo estimate of an event probability")
     p.add_argument("--group", required=True)
     p.add_argument("--eps", default=None)
     p.add_argument("--samples", type=int, default=10000)
@@ -86,25 +82,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--event", required=True)
     p.add_argument("--threads", type=int, default=None)
 
-    p = add("check", "predicates of a pasture file")
+    p = sub.add_parser("check", help="predicates of a pasture file")
     p.add_argument("--pasture", required=True)
 
-    p = add("quotient", "quotient of a finite field by a subgroup index")
+    p = sub.add_parser("quotient", help="quotient of a finite field by a subgroup index")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--index", type=int, required=True)
 
-    p = add("isquotient", "decide whether a pasture is a finite-field quotient")
+    p = sub.add_parser("isquotient", help="decide whether a pasture is a finite-field quotient")
     p.add_argument("--pasture", required=True)
     p.add_argument("--bound", default="auto")
 
-    p = add("product", "product pasture of two pasture files")
+    p = sub.add_parser("product", help="product pasture of two pasture files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    p = add("skewhex", "hexagon orbit counts over a possibly non-abelian group")
+    p = sub.add_parser("skewhex", help="hexagon orbit counts over a possibly non-abelian group")
     p.add_argument("--group", required=True)
 
-    p = add("classify", "isomorphism classes per unit as CSV")
+    p = sub.add_parser("classify", help="isomorphism classes per unit as CSV")
     p.add_argument("--group", required=True)
     p.add_argument("--eps", default=None)
     p.add_argument("--all", action="store_true",
@@ -118,10 +114,16 @@ def _cmd_hexcount(ns, out):
     out.write(f"{hexagon_count_formula(group)}\n")
 
 
-def _cmd_census(ns, out):
+def _group_and_units(ns) -> tuple[AbelianGroup, list[GroupElement]]:
+    """--group, and the --eps unit or else every unit of order <= 2."""
     group = AbelianGroup.from_literal(ns.group)
-    units = ([_parse_eps(group, ns.eps)] if ns.eps is not None
-             else list(group.units_of_order_le_2()))
+    if ns.eps is not None:
+        return group, [_parse_eps(group, ns.eps)]
+    return group, list(group.units_of_order_le_2())
+
+
+def _cmd_census(ns, out):
+    group, units = _group_and_units(ns)
     rows = [census_to_row(census(group, u, threads=ns.threads)) for u in units]
     _write_csv(out, CENSUS_FIELDS, rows)
 
@@ -202,9 +204,7 @@ def _cmd_skewhex(ns, out):
 
 
 def _cmd_classify(ns, out):
-    group = AbelianGroup.from_literal(ns.group)
-    units = ([_parse_eps(group, ns.eps)] if ns.eps is not None
-             else list(group.units_of_order_le_2()))
+    group, units = _group_and_units(ns)
     rows = []
     for unit in units:
         for row in class_table(group, unit, hyper_only=not ns.all,

@@ -278,11 +278,7 @@ class QuotientVerdict:
 
 def one_minus_one_is_everything(pasture: Pasture) -> bool:
     """Does the nonzero part of 1 + (-1) cover the whole group?"""
-    g = pasture.group
-    m = g.mul_array
-    eps = pasture.unit_index
-    return all(
-        pasture._triple_selected(0, eps, int(m[eps, z])) for z in range(g.order))
+    return len(pasture.one_plus_minus_one) == pasture.group.order
 
 
 def is_quotient_of_finite_field(

@@ -174,19 +174,10 @@ class AbelianGroup:
             raise ValueError(f"torsion exponent must be >= 1, got {k}")
         return prod(gcd(d, k) for d in self.invariant_factors)
 
-    def torsion_subgroup(self, k: int) -> tuple["GroupElement", ...]:
-        """Elements g with g^k = 1, in index order."""
-        if k < 1:
-            raise ValueError(f"torsion exponent must be >= 1, got {k}")
-        out = []
-        for g in self.elements():
-            if all((k * r) % d == 0 for r, d in zip(g.residues, self.invariant_factors)):
-                out.append(g)
-        return tuple(out)
-
     def units_of_order_le_2(self) -> tuple["GroupElement", ...]:
-        """Candidate distinguished units: the 2-torsion subgroup."""
-        return self.torsion_subgroup(2)
+        """Candidate distinguished units: the 2-torsion subgroup, in index order."""
+        return tuple(g for g in self.elements()
+                     if all(2 * r % d == 0 for r, d in zip(g.residues, self.invariant_factors)))
 
     # -- automorphisms -----------------------------------------------------
 
@@ -235,11 +226,6 @@ class GroupElement:
             self.group,
             tuple((-a) % d for a, d in zip(self.residues, self.group.invariant_factors)),
         )
-
-    def order(self) -> int:
-        if not self.residues:
-            return 1
-        return lcm(*(d // gcd(d, r) for d, r in zip(self.group.invariant_factors, self.residues)))
 
     def __repr__(self):
         return f"<{','.join(map(str, self.residues))}>" if self.residues else "<>"
@@ -327,29 +313,6 @@ def _automorphisms(group: AbelianGroup) -> tuple[GroupAutomorphism, ...]:
 def automorphisms_fixing(group: AbelianGroup, unit_index: int) -> tuple[GroupAutomorphism, ...]:
     """Automorphisms with f(unit) = unit."""
     return tuple(f for f in group.automorphisms() if f.images[unit_index] == unit_index)
-
-
-def homomorphisms(src: AbelianGroup, dst: AbelianGroup) -> tuple[tuple[int, ...], ...]:
-    """All multiplicative maps src -> dst, each as a full image table."""
-    if src.is_trivial:
-        return ((0,),)
-    # the i-th generator (order d_i) may map to any element whose order divides d_i
-    candidates = [
-        [j for j in range(dst.order) if src_d % dst.element_order(j) == 0]
-        for src_d in src.invariant_factors
-    ]
-    if dst.rank == 0:
-        return ((0,) * src.order,)
-    res = src.residue_matrix
-    dst_res = dst.residue_matrix
-    dst_dims = np.array(dst.invariant_factors, dtype=np.int64)
-    out = []
-    for gens in itertools.product(*candidates):
-        gen_rows = dst_res[list(gens)]  # (src.rank, dst.rank)
-        imaged = (res @ gen_rows) % dst_dims
-        table = imaged @ dst._weights
-        out.append(tuple(int(i) for i in table))
-    return tuple(out)
 
 
 def abelian_groups_up_to(max_order: int) -> tuple[AbelianGroup, ...]:

@@ -16,7 +16,7 @@ ascending order of that pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -69,12 +69,14 @@ class HexagonTable:
     def hex_of_pair(self, u: int, v: int) -> int:
         return int(self.pair_to_hex[u, v])
 
-    def hex_of_triple(self, x: int, y: int, z: int) -> int:
-        """Hexagon id of the translation class of the triple (x, y, z)."""
-        i = self.group.inv_array
-        m = self.group.mul_array
-        iz = i[z]
-        return int(self.pair_to_hex[m[x, iz], m[y, iz]])
+    @cached_property
+    def triple_to_hex(self) -> np.ndarray:
+        """(n, n, n) read-only: hexagon id of the triple (x, y, z), which is
+        the orbit of the pair (x z^-1, y z^-1)."""
+        a = self.group.mul_array[:, self.group.inv_array]  # a[x, z] = x z^-1
+        t2h = self.pair_to_hex[a[:, None, :], a[None, :, :]]
+        t2h.setflags(write=False)
+        return t2h
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(ms) for ms in self.members)

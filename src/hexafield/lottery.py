@@ -23,20 +23,27 @@ CLASSIFY_HEX_CAP = 16
 LOTTERY_SAMPLE_CAP = 2**30  # 262,144 chunks of 4096 samples
 LOTTERY_TENSOR_BYTES = 2**30  # float32 cross tensor per chunk of is_hyperfield / is_field
 ORACLE_SUBSAMPLE = 100  # every 100th orbit representative is re-checked against the oracle
+THREAD_CAP = 256
 _CHUNK = 4096  # fixed work unit, so the thread count never moves chunk boundaries
 
 
 def thread_count(threads: int | None = None) -> int:
-    """Explicit argument, else HEXAFIELD_THREADS, else the machine."""
+    """Explicit argument, else HEXAFIELD_THREADS, else the machine.
+
+    A requested count above THREAD_CAP raises before any thread exists; the
+    machine's count is clamped to it.
+    """
     if threads is None:
         env = os.environ.get("HEXAFIELD_THREADS", "").strip()
         if not env:
-            return os.cpu_count() or 1
+            return min(os.cpu_count() or 1, THREAD_CAP)
         if not env.isdecimal() or int(env) < 1:
             raise ValueError(f"HEXAFIELD_THREADS must be a positive integer, got {env!r}")
-        return int(env)
-    if threads < 1:
+        threads = int(env)
+    elif threads < 1:
         raise ValueError("thread count must be at least 1")
+    if threads > THREAD_CAP:
+        raise CapacityError(f"{threads} threads requested; cap is {THREAD_CAP}")
     return threads
 
 

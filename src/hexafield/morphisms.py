@@ -2,11 +2,9 @@
 which every selected hexagon of the source lands in a selected hexagon of
 the target.
 
-Isomorphism demands equal nullsets; a bijective morphism only demands
-containment, and the two genuinely differ.  Canonical forms minimize the
-nullset bitset over unit-preserving group automorphisms, so two pastures
-on the same (group, unit) are isomorphic exactly when their canonical
-forms coincide.
+Canonical forms minimize the nullset bitset over unit-preserving group
+automorphisms, so two pastures on the same (group, unit) are isomorphic
+exactly when their canonical forms coincide.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from dataclasses import dataclass
 
 from .groups import AbelianGroup, GroupAutomorphism, _check_multiplicative
 from .hexagons import HexagonTable
-from .pastures import Pasture
+from .pastures import Pasture, _permute_mask
 
 
 def is_morphism(images, src: Pasture, dst: Pasture) -> bool:
@@ -44,11 +42,7 @@ def hexagon_permutation(table: HexagonTable, images) -> tuple[int, ...]:
 
 
 def permute_nullset(table: HexagonTable, images, nullset: int) -> int:
-    out = 0
-    for h, target in enumerate(hexagon_permutation(table, images)):
-        if (nullset >> h) & 1:
-            out |= 1 << target
-    return out
+    return _permute_mask(nullset, hexagon_permutation(table, images))
 
 
 def _images(pasture: Pasture, unit_to: int):
@@ -84,13 +78,3 @@ def are_isomorphic(p1: Pasture, p2: Pasture) -> bool:
     if p1.group != p2.group:
         return False
     return any(bits == p2.nullset for _, bits in _images(p1, p2.unit_index))
-
-
-def exists_bijective_morphism(p1: Pasture, p2: Pasture) -> bool:
-    """Is there a bijective morphism p1 -> p2 (containment, not equality)?"""
-    if p1.group.order != p2.group.order:
-        raise ValueError("bijective morphisms need groups of equal order")
-    if p1.group != p2.group:
-        # equal order but different invariant factors: not isomorphic as groups
-        return False
-    return any(bits & ~p2.nullset == 0 for _, bits in _images(p1, p2.unit_index))

@@ -87,11 +87,14 @@ class Pasture:
             tuple(bool((ns >> int(p2h[x, y])) & 1) for y in range(n)) for x in range(n)
         )
 
-    def _triple_selected(self, x: int, y: int, z: int) -> bool:
-        i = self.group.inv_array
-        m = self.group.mul_array
-        iz = int(i[z])
-        return self._in_nullset[int(m[x, iz])][int(m[y, iz])]
+    @cached_property
+    def one_plus_minus_one(self) -> tuple[int, ...]:
+        """The nonzero elements of 1 + (-1), as element indices: each z whose
+        triple (1, unit, unit*z) is selected."""
+        eps = self.unit_index
+        # the identity has the all-zero residue vector, hence index 0
+        hexes = self.hex_table.triple_to_hex[0, eps, self.group.mul_array[eps]]
+        return tuple(z for z, h in enumerate(hexes.tolist()) if self.has_hex(h))
 
 
 # -- named tiny pastures ---------------------------------------------------
@@ -170,21 +173,23 @@ class AdditionTable:
         )
 
 
-def _addition_masks(table, eps: int, selected) -> tuple[tuple[int, ...], ...]:
+def _addition_masks(table, eps: int, triple_to_hex,
+                    nullset: int) -> tuple[tuple[int, ...], ...]:
     """Carrier masks of the addition over a group table (rows need not commute).
 
-    z lies in x + y exactly when selected(x, y, eps*z), and 0 exactly when
-    x = eps*y; 0 + x = x + 0 = {x}.
+    z lies in x + y exactly when the hexagon of the triple (x, y, eps*z) is in
+    the nullset, and 0 exactly when x = eps*y; 0 + x = x + 0 = {x}.
     """
     n = len(table)
     neg = table[eps]
+    t2h = triple_to_hex.tolist()
     masks = [tuple(1 << j for j in range(n + 1))]
     for x in range(n):
         row = [1 << (x + 1)]
         for y in range(n):
             acc = 1 if x == neg[y] else 0
             for z in range(n):
-                if selected(x, y, neg[z]):
+                if (nullset >> t2h[x][y][neg[z]]) & 1:
                     acc |= 1 << (z + 1)
             row.append(acc)
         masks.append(tuple(row))
@@ -194,7 +199,7 @@ def _addition_masks(table, eps: int, selected) -> tuple[tuple[int, ...], ...]:
 def reconstruct_addition(pasture: Pasture) -> AdditionTable:
     """Rebuild the full carrier addition table from the nullset."""
     masks = _addition_masks(pasture.group.mul_array.tolist(), pasture.unit_index,
-                            pasture._triple_selected)
+                            pasture.hex_table.triple_to_hex, pasture.nullset)
     return AdditionTable(pasture.group, pasture.unit, masks)
 
 
@@ -300,14 +305,7 @@ def axiom_oracle(pasture: Pasture) -> bool:
 
 def is_field(pasture: Pasture) -> bool:
     """A hyperfield is a field exactly when 1 + (-1) = {0}."""
-    g = pasture.group
-    m = g.mul_array
-    eps = pasture.unit_index
-    one = 0  # the identity has the all-zero residue vector, hence index 0
-    for z in range(g.order):
-        if pasture._triple_selected(one, eps, int(m[eps, z])):
-            return False
-    return is_hyperfield_fast(pasture)
+    return not pasture.one_plus_minus_one and is_hyperfield_fast(pasture)
 
 
 def satisfies_star(pasture: Pasture) -> bool:
@@ -366,21 +364,9 @@ def _check_oracle_order(g: AbelianGroup) -> None:
 def is_zero_over_zero(pasture: Pasture) -> bool:
     """Every x is a ratio r/s of nonzero elements of 1 + (-1)."""
     g = pasture.group
-    _check_oracle_order(g)
-    n = g.order
-    m = g.mul_array
-    eps = pasture.unit_index
-    one = 0
-    s_set = [z for z in range(n) if pasture._triple_selected(one, eps, int(m[eps, z]))]
-    if not s_set:
-        return False
-    member = [False] * n
-    for z in s_set:
-        member[z] = True
-    for x in range(n):
-        if not any(member[int(m[x, s])] for s in s_set):
-            return False
-    return True
+    s_set = pasture.one_plus_minus_one
+    m, inv = g.mul_array.tolist(), g.inv_array.tolist()
+    return len({m[r][inv[s]] for r in s_set for s in s_set}) == g.order
 
 
 def all_pastures(group: AbelianGroup, unit: GroupElement):
@@ -391,25 +377,6 @@ def all_pastures(group: AbelianGroup, unit: GroupElement):
 
 
 # -- linear systems --------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """m homogeneous equations in m+1 unknowns; coefficients are carrier indices."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not self.rows:
-            raise ValueError("a linear system needs at least one equation")
-        m = len(self.rows)
-        for row in self.rows:
-            if len(row) != m + 1:
-                raise ValueError(f"{m} equations need rows of length {m + 1}")
-
-    @property
-    def m(self) -> int:
-        return len(self.rows)
-
 
 def _carrier_product(table: AdditionTable, a: int, x: int) -> int:
     if a == 0 or x == 0:
@@ -440,20 +407,12 @@ def _check_fetvins_size(table: AdditionTable, m: int) -> None:
                             f"{FETVINS_CARRIER_CAP}, got {table.carrier_size}")
 
 
-def fetvins_check(table: AdditionTable, system: LinearSystem) -> bool:
-    """Does the system have a nonzero solution over the carrier?"""
-    _check_fetvins_size(table, system.m)
-    big = table.carrier_size
-    for xs in itertools.product(range(big), repeat=system.m + 1):
-        if not any(xs):
-            continue
-        if all(_row_sum_mask(table, row, xs) & 1 for row in system.rows):
-            return True
-    return False
-
-
 def fetvins_exhaustive(table: AdditionTable, m: int) -> bool:
-    """Do all m-equation systems over this carrier have nonzero solutions?"""
+    """Do all m-equation systems over this carrier have nonzero solutions?
+
+    A system is m homogeneous equations in m+1 unknowns, each row a tuple
+    of carrier indices as coefficients.
+    """
     _check_fetvins_size(table, m)
     big = table.carrier_size
     vectors = [xs for xs in itertools.product(range(big), repeat=m + 1) if any(xs)]

@@ -202,11 +202,5 @@ def skew_axiom_oracle(g: CayleyGroup, eps: int, nullset: int) -> bool:
     table = skew_hexagons(g)
     if not 0 <= nullset < 1 << table.size:
         raise ValueError("nullset bits outside the orbit range")
-    p2h, t, inv = table.pair_to_hex.tolist(), g.table, g.inverse
-
-    def selected(x, y, z):
-        # the orbit of the triple (x, y, z), normalized by z
-        return (nullset >> p2h[t[x][inv[z]]][t[y][inv[z]]]) & 1
-
-    masks = _addition_masks(t, eps, selected)
-    return _check_axioms(t, eps, masks)
+    masks = _addition_masks(g.table, eps, table.triple_to_hex, nullset)
+    return _check_axioms(g.table, eps, masks)

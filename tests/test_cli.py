@@ -8,6 +8,7 @@ from pathlib import Path
 
 from hexafield import galois, lottery
 from hexafield.cli import run
+from hexafield.galois import QuotientSpec, build_field, quotient_hyperfield
 from hexafield.pastures import Pasture, field_f3, krasner, sign_hyperfield
 from hexafield.serialize import dumps_pasture, loads_pasture
 
@@ -156,6 +157,21 @@ def test_product_output_reparses(tmp_path):
     assert back.group.literal == "Z2"
 
 
+def test_product_past_the_oracle_cap(tmp_path):
+    # a Z5 hyperfield times the sign hyperfield lives on Z10; no addition
+    # table is built, so the order-9 oracle cap does not apply
+    z5 = quotient_hyperfield(QuotientSpec(build_field(11, 1), 5))
+    a = write_pasture(tmp_path, z5, "a.json")
+    b = write_pasture(tmp_path, sign_hyperfield(), "b.json")
+    code, text = invoke("product", "--a", a, "--b", b)
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["is_hyperfield"] == doc["theorem_verdict"]
+    back = loads_pasture(text)
+    assert back.group.literal == "Z10"
+    assert loads_pasture(dumps_pasture(back)) == back
+
+
 def test_skewhex_outputs():
     code, text = invoke("skewhex", "--group", "S3")
     assert code == 0
@@ -192,6 +208,20 @@ def test_capacity_errors_are_2():
     assert invoke("census", "--group", "Z16")[0] == 2
     assert invoke("skewhex", "--group", "Z5xZ5")[0] == 2
     assert invoke("classify", "--group", "Z9")[0] == 2
+
+
+def test_thread_cap_exits_2_before_any_chunk(monkeypatch):
+    def no_chunks(*args):
+        raise AssertionError("a chunk ran before the thread cap check")
+
+    monkeypatch.setattr(lottery, "_run_chunks", no_chunks)
+    over = str(lottery.THREAD_CAP + 1)
+    lot = ("lottery", "--group", "Z5", "--event", "star", "--samples", "100000000")
+    for args in [lot, ("census", "--group", "Z5"), ("classify", "--group", "Z3")]:
+        assert invoke(*args, "--threads", over) == (2, ""), args
+        monkeypatch.setenv("HEXAFIELD_THREADS", over)
+        assert invoke(*args) == (2, ""), args
+        monkeypatch.delenv("HEXAFIELD_THREADS")
 
 
 def test_thread_flag_is_byte_invariant():

@@ -57,7 +57,7 @@ def test_triple_normalization():
     table = build_table(g)
     m, iv = g.mul_array, g.inv_array
     for (x, y, z) in [(1, 2, 3), (4, 4, 4), (0, 5, 8), (7, 1, 2)]:
-        direct = table.hex_of_triple(x, y, z)
+        direct = table.triple_to_hex[x, y, z]
         u = int(m[x, iv[z]])
         v = int(m[y, iv[z]])
         assert direct == table.hex_of_pair(u, v)
@@ -70,8 +70,8 @@ def test_scaling_leaves_hex_fixed():
     m = g.mul_array
     for t in range(6):
         for (x, y, z) in [(0, 1, 2), (3, 3, 0), (5, 2, 4)]:
-            assert (table.hex_of_triple(x, y, z)
-                    == table.hex_of_triple(int(m[t, x]), int(m[t, y]), int(m[t, z])))
+            assert (table.triple_to_hex[x, y, z]
+                    == table.triple_to_hex[m[t, x], m[t, y], m[t, z]])
 
 
 def test_orbit_of_elements():

@@ -394,3 +394,18 @@ def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("HEXAFIELD_THREADS", "abc")
     assert run(["lottery", "--group", "Z2", "--event", "star", "--samples", "10"],
                stdout=io.StringIO()) == 1
+
+
+def test_thread_count_cap(monkeypatch):
+    cap = lottery.THREAD_CAP
+    assert thread_count(cap) == cap
+    with pytest.raises(CapacityError):
+        thread_count(cap + 1)
+    monkeypatch.setenv("HEXAFIELD_THREADS", str(cap))
+    assert thread_count() == cap
+    monkeypatch.setenv("HEXAFIELD_THREADS", "20000")
+    with pytest.raises(CapacityError):
+        thread_count()
+    monkeypatch.delenv("HEXAFIELD_THREADS")
+    monkeypatch.setattr(lottery.os, "cpu_count", lambda: 4 * cap)
+    assert thread_count() == cap  # the machine's count is clamped, not refused

@@ -1,9 +1,6 @@
-import pytest
-
 from hexafield.groups import AbelianGroup
 from hexafield.hexagons import build_table
-from hexafield.morphisms import (are_isomorphic, canonical_form,
-                                 exists_bijective_morphism, is_morphism,
+from hexafield.morphisms import (are_isomorphic, canonical_form, is_morphism,
                                  pasture_automorphisms, permute_nullset)
 from hexafield.pastures import (Pasture, all_pastures, field_f3,
                                 is_hyperfield_fast, krasner, sign_hyperfield)
@@ -47,16 +44,6 @@ def test_classification_matches_pairwise_iso():
                 for q in ps:
                     same_class = q.nullset in by_form[canonical_form(p).bits]
                     assert are_isomorphic(p, q) == same_class
-
-
-def test_bijective_morphism_uses_containment():
-    f3 = field_f3()
-    weak = Pasture(f3.group, f3.unit, 0b11)
-    assert exists_bijective_morphism(f3, weak)
-    assert not exists_bijective_morphism(weak, f3)
-    assert exists_bijective_morphism(f3, f3)
-    with pytest.raises(ValueError):
-        exists_bijective_morphism(f3, krasner())  # orders differ
 
 
 def test_collapse_to_krasner_is_terminal():

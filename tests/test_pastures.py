@@ -1,12 +1,14 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from hexafield.errors import CapacityError
+from hexafield.galois import one_minus_one_is_everything
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
-from hexafield.pastures import (AdditionTable, LinearSystem, Pasture,
-                                all_pastures, axiom_oracle, fetvins_check,
+from hexafield.pastures import (Pasture, all_pastures, axiom_oracle,
                                 fetvins_exhaustive, field_f2, field_f3,
                                 is_4full, is_field, is_hyperfield_fast,
                                 is_zero_over_zero, krasner,
@@ -141,15 +143,6 @@ def test_oracle_cap():
         axiom_oracle(Pasture(g, g.identity, 0))
 
 
-def test_linear_system_validation():
-    with pytest.raises(ValueError):
-        LinearSystem(())
-    with pytest.raises(ValueError):
-        LinearSystem(((1, 2, 0),))  # one equation takes two unknowns, not three
-    assert LinearSystem(((1, 2),)).m == 1
-    assert LinearSystem(((1, 1, 0), (0, 1, 1))).m == 2
-
-
 def test_fetvins_on_knowns():
     k = reconstruct_addition(krasner())
     assert fetvins_exhaustive(k, 1)
@@ -158,11 +151,11 @@ def test_fetvins_on_knowns():
     weak = reconstruct_addition(Pasture(g, g.element((1,)), 0b11))
     assert fetvins_exhaustive(weak, 1)
     assert fetvins_exhaustive(weak, 2)
-    # single equation over the sign hyperfield
+    # single equations over the sign hyperfield; three equations are over the cap
     s = reconstruct_addition(sign_hyperfield())
-    assert fetvins_check(s, LinearSystem(((1, 2),)))
+    assert fetvins_exhaustive(s, 1)
     with pytest.raises(CapacityError):
-        fetvins_check(s, LinearSystem(tuple((1, 1, 1, 1) for _ in range(3))))
+        fetvins_exhaustive(s, 3)
 
 
 def test_fields_are_single_valued():
@@ -173,3 +166,25 @@ def test_fields_are_single_valued():
             table = reconstruct_addition(p)
             for a, b in itertools.product(range(table.carrier_size), repeat=2):
                 assert len(table.sum_set(a, b)) == 1
+
+
+def test_one_plus_minus_one_is_the_table_sum():
+    # the cached set is the nonzero part of 1 + (-1) in the rebuilt addition
+    for g, unit in small_cases(5):
+        for p in all_pastures(g, unit):
+            row = reconstruct_addition(p).sum_set(1, unit.index + 1)
+            assert p.one_plus_minus_one == tuple(sorted(i - 1 for i in row if i)), p
+
+
+def test_predicates_are_pinned_up_to_order_6():
+    # SHA-256 over every pasture of order <= 6 and every unit: its addition
+    # table and the predicates that read 1 + (-1) or four-fold sums
+    digest = hashlib.sha256()
+    for g, unit in small_cases(6):
+        for p in all_pastures(g, unit):
+            record = [g.literal, unit.index, p.nullset, reconstruct_addition(p).masks,
+                      is_field(p), is_zero_over_zero(p), is_4full(p),
+                      one_minus_one_is_everything(p)]
+            digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == \
+        "4e1447e23580f13836cc0ac9fda3d2ab26344422c91695695368bd8635d02be0"
