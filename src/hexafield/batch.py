@@ -31,6 +31,14 @@ def _lowbit_groups(width: int) -> list[tuple[int, np.ndarray]]:
     return out
 
 
+def _exists_t(ns: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(S, I, J) bool: some t has ns[s, left[i, t]] and ns[s, right[j, t]]."""
+    # float32 einsum so the any-over-t contraction runs through BLAS
+    a = ns[:, left].astype(np.float32)
+    b = ns[:, right].astype(np.float32)
+    return np.einsum("sit,sjt->sij", a, b, optimize=True) > 0.5
+
+
 @dataclass(frozen=True)
 class Kernels:
     group: AbelianGroup
@@ -48,12 +56,9 @@ class Kernels:
         return self._m[self.unit_index]
 
     @cached_property
-    def _hid2(self) -> np.ndarray:
-        return build_table(self.group).pair_to_hex
-
-    @cached_property
     def _hid3(self) -> np.ndarray:
-        # hexagon of the triple (x, y, z), shared by every unit of the group
+        # hexagon of the triple (x, y, z), shared by every unit of the group;
+        # the pair (u, v) is the triple (u, v, 1), and (tu, tv) is (u, v, t^-1)
         return build_table(self.group).triple_to_hex
 
     @cached_property
@@ -70,26 +75,22 @@ class Kernels:
     @cached_property
     def _b_index(self):
         n = self.group.order
-        m, em, hid2 = self._m, self._em, self._hid2
-        hb1 = hid2[m.T[:, None, :], em[m].T[None, :, :]]      # [x, z, t]
-        hb2 = hid2[em[m].T[:, None, :], m.T[None, :, :]]      # [y, w, t]
+        em, hid3 = self._em, self._hid3
         grid = np.arange(n)
         x, y, z, w = np.ix_(grid, grid, grid, grid)
         offdiag = (x != z) | (y != w)
-        return hb1.reshape(n * n, n), hb2.reshape(n * n, n), offdiag
+        # [(x, z), t] = hex(x, unit*z, t) and [(y, w), t] = hex(unit*y, w, t)
+        return hid3[:, em].reshape(n * n, n), hid3[em].reshape(n * n, n), offdiag
 
     def is_hyperfield(self, ns: np.ndarray) -> np.ndarray:
         n = self.group.order
-        in2 = ns[:, self._hid2]  # (S, n, n)
+        in2 = ns[:, self._hid3[:, :, 0]]  # (S, n, n)
         cond_a = in2.any(axis=2)
         keep = np.arange(n) != self.unit_index
         ok_a = cond_a[:, keep].all(axis=1) if keep.any() else np.ones(len(ns), dtype=bool)
         hb1, hb2, offdiag = self._b_index
-        # float32 einsum so the any-over-t contraction runs through BLAS
-        m1 = ns[:, hb1].astype(np.float32)  # (S, n^2 [x,z], t)
-        m2 = ns[:, hb2].astype(np.float32)  # (S, n^2 [y,w], t)
-        cross = np.einsum("sit,sjt->sij", m1, m2, optimize=True) > 0.5
-        cross = cross.reshape(-1, n, n, n, n).transpose(0, 1, 3, 2, 4)  # [s,x,y,z,w]
+        cross = _exists_t(ns, hb1, hb2).reshape(-1, n, n, n, n)
+        cross = cross.transpose(0, 1, 3, 2, 4)  # [s,x,y,z,w]
         premise = in2[:, :, :, None, None] & in2[:, None, None, :, :]
         viol = (premise & ~cross & offdiag).any(axis=(1, 2, 3, 4))
         return ok_a & ~viol
@@ -146,20 +147,10 @@ class Kernels:
 
     # -- star, 4-full, 0/0, field -----------------------------------------
 
-    @cached_property
-    def _star_index(self):
-        n = self.group.order
-        m, hid2 = self._m, self._hid2
-        head = hid2[np.arange(n)[:, None], m].T          # [a, u] = hex(u, u a)
-        tail = hid2[m[:, :, None], m[:, None, :]]        # [u, b, c]
-        return head, tail.transpose(1, 2, 0).reshape(n * n, n)
-
     def satisfies_star(self, ns: np.ndarray) -> np.ndarray:
-        head, tail = self._star_index
-        x = ns[:, head].astype(np.float32)   # (S, n, u)
-        y = ns[:, tail].astype(np.float32)   # (S, n^2, u)
-        cross = np.einsum("sit,sjt->sij", x, y, optimize=True)
-        return (cross > 0.5).all(axis=(1, 2))
+        # some u has hex(u, u a) and hex(u b, u c): triples (1, a, t), (b, c, t), t = u^-1
+        n = self.group.order
+        return _exists_t(ns, self._hid3[0], self._hid3.reshape(n * n, n)).all(axis=(1, 2))
 
     @cached_property
     def _four_index(self):
@@ -174,9 +165,7 @@ class Kernels:
     def is_4full(self, ns: np.ndarray) -> np.ndarray:
         n = self.group.order
         h41, trivial = self._four_index
-        x = ns[:, h41].astype(np.float32)                       # (S, b, t)
-        y = ns[:, self._hid3.reshape(n * n, n)].astype(np.float32)  # (S, (c,d), t)
-        cross = np.einsum("sit,sjt->sij", x, y, optimize=True) > 0.5  # (S, b, (c,d))
+        cross = _exists_t(ns, h41, self._hid3.reshape(n * n, n))  # (S, b, (c,d))
         ok = (cross | trivial).all(axis=(1, 2))
         if n == 1:
             ok &= ns.any(axis=1)  # F2 is excluded by definition
@@ -198,7 +187,7 @@ class Kernels:
 
     @cached_property
     def _eps_hex_ids(self) -> np.ndarray:
-        return np.unique(self._hid2[self.unit_index])
+        return np.unique(self._hid3[self.unit_index, :, 0])
 
     def all_eps_hexagons(self, ns: np.ndarray) -> np.ndarray:
         return ns[:, self._eps_hex_ids].all(axis=1)

@@ -69,24 +69,17 @@ class FiniteField:
     def neg_one(self) -> int:
         return self.p - 1 if self.p > 2 else 1
 
+    def _digits(self, a) -> np.ndarray:
+        """Base-p digits of element ids along a new last axis, little-endian."""
+        return (np.asarray(a)[..., None] // self._pows) % self.p
+
     def add(self, a, b):
-        if self.k == 1:
-            return (np.asarray(a) + b) % self.p
-        da = (np.asarray(a)[..., None] // self._pows) % self.p
-        db = (np.asarray(b)[..., None] // self._pows) % self.p
-        return ((da + db) % self.p) @ self._pows
+        return ((self._digits(a) + self._digits(b)) % self.p) @ self._pows
 
     def neg(self, a):
-        if self.k == 1:
-            return (-np.asarray(a)) % self.p
-        da = (np.asarray(a)[..., None] // self._pows) % self.p
-        return ((self.p - da) % self.p) @ self._pows
+        return (-self._digits(a) % self.p) @ self._pows
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.k == 1:
-            return a * b % self.p
         pa = _id_to_poly(a, self.p, self.k)
         pb = _id_to_poly(b, self.p, self.k)
         return _poly_to_id(_poly_mulmod(pa, pb, self.modulus, self.p), self.p)
@@ -102,29 +95,22 @@ class FiniteField:
 
     @cached_property
     def exp_table(self) -> np.ndarray:
-        """exp_table[i] = generator^i, length q-1."""
-        q = self.q
-        if self.k == 1 and q > 4096:
-            # chunked cumulative powers keep large prime fields cheap
-            block = 4096
-            gp = np.empty(block, dtype=np.int64)
-            gp[0] = 1
-            for j in range(1, block):
-                gp[j] = gp[j - 1] * self.generator % self.p
-            step = int(gp[-1]) * self.generator % self.p
-            out = np.empty(q - 1, dtype=np.int64)
-            base = 1
-            for lo in range(0, q - 1, block):
-                hi = min(lo + block, q - 1)
-                out[lo:hi] = base * gp[: hi - lo] % self.p
-                base = base * step % self.p
-            return out
-        out = np.empty(q - 1, dtype=np.int64)
-        acc = 1
-        for i in range(q - 1):
-            out[i] = acc
-            acc = self.mul(acc, self.generator)
-        return out
+        """exp_table[i] = generator^i, length q-1.
+
+        Multiplication by a fixed c is F_p-linear on digit vectors: row i of
+        its matrix is the digits of p^i c.  Given g^0 .. g^(m-1), one matrix
+        product with c = g^m yields g^m .. g^(2m-1).
+        """
+        n, p = self.q - 1, self.p
+        digits = np.zeros((n, self.k), dtype=np.int64)
+        digits[0, 0] = 1
+        m, gm = 1, self.generator
+        while m < n:
+            step = self._digits([self.mul(p ** i, gm) for i in range(self.k)])
+            block = min(m, n - m)
+            digits[m:m + block] = digits[:block] @ step % p
+            m, gm = m + block, self.mul(gm, gm)
+        return digits @ self._pows
 
     @cached_property
     def log_table(self) -> np.ndarray:
@@ -204,20 +190,16 @@ def build_field(p: int, k: int) -> FiniteField:
     q = p ** k
     if q > FIELD_SIZE_CAP:
         raise CapacityError(f"field size {q} exceeds cap {FIELD_SIZE_CAP}")
-    if k == 1:
-        modulus = (0, 1)
+    for m in range(q):
+        f = _id_to_poly(m, p, k) + [1]
+        if _irreducible(f, p):
+            modulus = tuple(f)
+            break
     else:
-        for m in range(p ** k):
-            f = _id_to_poly(m, p, k) + [1]
-            if f[0] and _irreducible(f, p):
-                modulus = tuple(f)
-                break
-        else:
-            raise AssertionError("no irreducible polynomial found")
+        raise AssertionError("no irreducible polynomial found")
     field = FiniteField(p, k, modulus, generator=1)
-    if q == 2:
-        return field
-    for cand in range(2, q):
+    # 1 has order q - 1 only in F_2
+    for cand in range(1, q):
         if field.element_order(cand) == q - 1:
             return FiniteField(p, k, modulus, generator=cand)
     raise AssertionError("no generator found")
@@ -243,6 +225,8 @@ def quotient_hyperfield(spec: QuotientSpec) -> Pasture:
     """
     fld, n = spec.field, spec.index
     group = AbelianGroup.cyclic(n)
+    # raises CapacityError past TABLE_ORDER_CAP before the (n, n) array exists
+    table = build_table(group)
     cls = np.full(fld.q, -1, dtype=np.int64)
     cls[fld.exp_table] = np.arange(fld.q - 1) % n
     a_ids = fld.exp_table
@@ -251,7 +235,6 @@ def quotient_hyperfield(spec: QuotientSpec) -> Pasture:
     sel = np.zeros((n, n), dtype=bool)
     sel[cls[a_ids[keep]], cls[b_ids[keep]]] = True
 
-    table = build_table(group)
     bits = 0
     for h, members in enumerate(table.members):
         vals = {bool(sel[u, v]) for u, v in members}

@@ -91,7 +91,15 @@ class CayleyGroup:
         return self.table[self.table[g][x]][self.inverse[g]]
 
 
+def _check_order(order: int) -> None:
+    if order > CAYLEY_ORDER_CAP:
+        raise CapacityError(
+            f"orbit enumeration is capped at order {CAYLEY_ORDER_CAP}, got {order}")
+
+
 def from_abelian(group: AbelianGroup, name: str | None = None) -> CayleyGroup:
+    # the cap comes before the table, whose associativity check costs n^3
+    _check_order(group.order)
     rows = tuple(tuple(int(v) for v in row) for row in group.mul_array)
     return CayleyGroup(name or group.literal, rows)
 
@@ -157,9 +165,7 @@ BUILTIN_GROUPS = {
 
 def skew_hexagons(g: CayleyGroup) -> HexagonTable:
     """Orbits of G x G under the six maps and conjugation, uncached."""
-    if g.order > CAYLEY_ORDER_CAP:
-        raise CapacityError(
-            f"orbit enumeration is capped at order {CAYLEY_ORDER_CAP}, got {g.order}")
+    _check_order(g.order)
     return orbit_table(g)
 
 

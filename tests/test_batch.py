@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,12 @@ from hexafield.batch import (EVENT_NAMES, Kernels, bits_to_ints, ints_to_bits,
 from hexafield.errors import CapacityError
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
+from hexafield.lottery import sample_bits
 from hexafield.morphisms import pasture_automorphisms
-from hexafield.pastures import (Pasture, all_pastures, axiom_oracle,
-                                is_4full, is_field, is_hyperfield_fast,
-                                is_zero_over_zero, reconstruct_addition,
-                                satisfies_star)
+from hexafield.pastures import (ORACLE_ORDER_CAP, Pasture, all_pastures,
+                                axiom_oracle, is_4full, is_field,
+                                is_hyperfield_fast, is_zero_over_zero,
+                                reconstruct_addition, satisfies_star)
 
 SCALAR = {
     "is_hyperfield": is_hyperfield_fast,
@@ -80,6 +83,23 @@ def test_star_decomposition_on_batch():
             star = kernels.satisfies_star(bits)
             both = kernels.is_4full(bits) & kernels.is_zero_over_zero(bits)
             assert (star[hyper] == both[hyper]).all(), (g.literal, unit.index)
+
+
+def test_kernel_verdicts_past_oracle_pinned():
+    # no oracle reaches these orders, so the verdicts are pinned instead
+    digest = hashlib.sha256()
+    for lit in ["Z10", "Z12", "Z13", "Z16"]:
+        g = AbelianGroup.from_literal(lit)
+        assert g.order > ORACLE_ORDER_CAP
+        bits = sample_bits(7, 0, 256, build_table(g).size)
+        for unit in g.units_of_order_le_2():
+            kernels = kernels_for(g, unit.index)
+            for name in ["is_hyperfield", "satisfies_star", "is_4full",
+                         "is_zero_over_zero", "is_field", "all_eps_hexagons"]:
+                digest.update(f"{lit}/{unit.index}/{name}".encode())
+                digest.update(np.packbits(getattr(kernels, name)(bits)).tobytes())
+    assert digest.hexdigest() == \
+        "0e4cdbefcec025c9b17191eaffdbbca2348dab978d757a6b55c2274aeca3218f"
 
 
 def test_addition_masks_match_reconstruction():

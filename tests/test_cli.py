@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from hexafield import galois, lottery
+from hexafield import galois, lottery, skew
 from hexafield.cli import run
 from hexafield.galois import QuotientSpec, build_field, quotient_hyperfield
 from hexafield.pastures import Pasture, field_f3, krasner, sign_hyperfield
@@ -204,10 +204,19 @@ def test_domain_errors_are_1(tmp_path):
         assert invoke("check", "--pasture", str(bad))[0] == 1
 
 
-def test_capacity_errors_are_2():
+def test_capacity_errors_are_2(monkeypatch):
     assert invoke("census", "--group", "Z16")[0] == 2
     assert invoke("skewhex", "--group", "Z5xZ5")[0] == 2
     assert invoke("classify", "--group", "Z9")[0] == 2
+
+    def no_table(*args):
+        raise AssertionError("a table was built before the cap check")
+
+    # the caps fire before any Cayley table or field table is built
+    monkeypatch.setattr(skew.CayleyGroup, "__post_init__", no_table)
+    monkeypatch.setattr(galois.FiniteField, "exp_table", property(no_table))
+    assert invoke("skewhex", "--group", "Z400") == (2, "")
+    assert invoke("quotient", "--q", "999983", "--index", "999982") == (2, "")
 
 
 def test_thread_cap_exits_2_before_any_chunk(monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hexafield.errors import CapacityError
@@ -40,11 +42,25 @@ def test_generators_are_least_primitive():
 
 
 def test_exp_log_round_trip():
-    for p, k in [(7, 1), (3, 2), (2, 4), (101, 1)]:
+    for p, k in [(7, 1), (3, 2), (2, 4), (101, 1), (4099, 1), (2, 16)]:
         f = build_field(p, k)
         assert sorted(f.exp_table.tolist()) == list(range(1, f.q))
         for a in range(1, f.q):
             assert int(f.exp_table[f.log_table[a]]) == a
+
+
+def test_field_tables_pinned():
+    # every field the decider can build: q - 1 <= 9^4
+    digest = hashlib.sha256()
+    for q in range(2, 9 ** 4 + 2):
+        pk = factor_prime_power(q)
+        if pk is None:
+            continue
+        f = build_field(*pk)
+        digest.update(repr((f.p, f.k, f.modulus, f.generator)).encode())
+        digest.update(f.exp_table.astype("<i8").tobytes())
+    assert digest.hexdigest() == \
+        "a5118a88a0a31db49649d905f7e054b2576cf4e7c364eea144ea36d2a418d0e3"
 
 
 def test_field_arithmetic_consistency():

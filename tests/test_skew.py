@@ -114,9 +114,10 @@ def test_bound_rejects_abelian():
 
 
 def test_capacity_caps():
-    big = from_abelian(AbelianGroup.from_literal("Z5xZ5"))
     with pytest.raises(CapacityError):
-        skew_hexagons(big)
+        from_abelian(AbelianGroup.from_literal("Z5xZ5"))  # before any table
+    with pytest.raises(CapacityError):
+        skew_hexagons(dihedral(13))  # order 26
     with pytest.raises(CapacityError):
         skew_axiom_oracle(D6, D6.identity, 0)  # order 12 over the oracle cap
 
