@@ -77,23 +77,34 @@ class Kernels:
         n = self.group.order
         em, hid3 = self._em, self._hid3
         grid = np.arange(n)
-        x, y, z, w = np.ix_(grid, grid, grid, grid)
-        offdiag = (x != z) | (y != w)
-        # [(x, z), t] = hex(x, unit*z, t) and [(y, w), t] = hex(unit*y, w, t)
-        return hid3[:, em].reshape(n * n, n), hid3[em].reshape(n * n, n), offdiag
+        x, z, y, w = np.ix_(grid, grid, grid, grid)
+        offdiag = (x != z) | (y != w)  # [x, z, y, w]
+        # [x][z, t] = hex(x, unit*z, t) and [(y, w), t] = hex(unit*y, w, t)
+        return hid3[:, em], hid3[em].reshape(n * n, n), offdiag
 
     def is_hyperfield(self, ns: np.ndarray) -> np.ndarray:
+        """Condition A on every row, then condition B one x at a time.
+
+        B asks that any two distinct selected pairs (x, y) and (z, w) have
+        some t with hex(x, unit*z, t) and hex(unit*y, w, t) selected.  Block
+        x holds the first pair's x fixed and builds an (A, n, n^2) tensor
+        for the A rows that are still alive and select some (x, y); a row
+        leaves as soon as one block shows a violation.
+        """
         n = self.group.order
-        in2 = ns[:, self._hid3[:, :, 0]]  # (S, n, n)
-        cond_a = in2.any(axis=2)
-        keep = np.arange(n) != self.unit_index
-        ok_a = cond_a[:, keep].all(axis=1) if keep.any() else np.ones(len(ns), dtype=bool)
         hb1, hb2, offdiag = self._b_index
-        cross = _exists_t(ns, hb1, hb2).reshape(-1, n, n, n, n)
-        cross = cross.transpose(0, 1, 3, 2, 4)  # [s,x,y,z,w]
-        premise = in2[:, :, :, None, None] & in2[:, None, None, :, :]
-        viol = (premise & ~cross & offdiag).any(axis=(1, 2, 3, 4))
-        return ok_a & ~viol
+        in2 = ns[:, self._hid3[:, :, 0]]  # (S, n, n)
+        keep = np.arange(n) != self.unit_index
+        ok = in2.any(axis=2)[:, keep].all(axis=1)
+        for x in range(n):
+            rows = np.flatnonzero(ok & in2[:, x].any(axis=1))
+            if len(rows) == 0:
+                continue
+            sel = in2[rows]
+            cross = _exists_t(ns[rows], hb1[x], hb2).reshape(-1, n, n, n)  # [a,z,y,w]
+            premise = sel[:, None, x, :, None] & sel[:, :, None, :]
+            ok[rows] = ~(premise & ~cross & offdiag[x]).any(axis=(1, 2, 3))
+        return ok
 
     # -- brute-force axiom oracle -----------------------------------------
 
@@ -181,7 +192,9 @@ class Kernels:
         return (s_mask[:, None, :] & shifted).any(axis=2).all(axis=1)
 
     def is_field(self, ns: np.ndarray) -> np.ndarray:
-        return self.is_hyperfield(ns) & ~self.one_plus_minus_one(ns).any(axis=1)
+        out = ~self.one_plus_minus_one(ns).any(axis=1)
+        out[out] = self.is_hyperfield(ns[out])
+        return out
 
     # -- symmetry events ---------------------------------------------------
 

@@ -21,7 +21,10 @@ WILSON_Z = 1.959963984540054  # 97.5th percentile of the standard normal
 CENSUS_HEX_CAP = 22
 CLASSIFY_HEX_CAP = 16
 LOTTERY_SAMPLE_CAP = 2**30  # 262,144 chunks of 4096 samples
-LOTTERY_TENSOR_BYTES = 2**30  # float32 cross tensor per chunk of is_hyperfield / is_field
+# Chunk budget of is_hyperfield / is_field, sized on n^4 float32 per sample.  The
+# kernel's largest block is A*n^3 float32 for the A <= chunk rows still alive,
+# so the budget is conservative by a factor of n.
+LOTTERY_TENSOR_BYTES = 2**30
 ORACLE_SUBSAMPLE = 100  # every 100th orbit representative is re-checked against the oracle
 THREAD_CAP = 256
 _CHUNK = 4096  # fixed work unit, so the thread count never moves chunk boundaries

@@ -74,6 +74,31 @@ def test_batch_matches_scalar_random_large():
                     assert bool(star[i]) == satisfies_star(p)
 
 
+def test_hyperfield_verdict_ignores_the_rest_of_the_chunk():
+    # OR-ing two draws leaves about half the rows hyperfields, so rows die at
+    # different x blocks while their neighbours stay alive
+    for lit in ["Z8", "Z2xZ4", "Z9"]:
+        g = AbelianGroup.from_literal(lit)
+        width = build_table(g).size
+        bits = sample_bits(5, 0, 512, width) | sample_bits(5, 512, 1024, width)
+        for unit in g.units_of_order_le_2():
+            kernels = kernels_for(g, unit.index)
+            want = kernels.axiom_oracle(bits)
+            assert 0 < want.sum() < len(bits)
+            assert (kernels.is_hyperfield(bits) == want).all()
+            assert (kernels.is_hyperfield(bits[::-1])[::-1] == want).all()
+            one_by_one = [kernels.is_hyperfield(row[None])[0] for row in bits]
+            assert (np.array(one_by_one) == want).all(), (lit, unit.index)
+
+
+def test_hyperfield_index_built_by_a_row_failing_condition_a():
+    # warm-up passes an all-zero row; the index tensors must exist afterwards
+    g = AbelianGroup.from_literal("Z5")
+    kernels = Kernels(g, 0)
+    assert not kernels.is_hyperfield(np.zeros((1, build_table(g).size), dtype=bool))[0]
+    assert "_b_index" in vars(kernels)
+
+
 def test_star_decomposition_on_batch():
     for g in abelian_groups_up_to(4):
         for unit in g.units_of_order_le_2():
