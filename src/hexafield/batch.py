@@ -2,9 +2,10 @@
 
 Every public method takes a bool matrix NS of shape (samples, #hexagons),
 row s being the hexagon-membership bits of one nullset, and returns a bool
-vector of per-sample verdicts.  The math mirrors the scalar functions in
-pastures.py; the scalar versions stay the reference implementations and
-the two are cross-checked in the tests.
+vector of per-sample verdicts.  The fast predicates are first-order tests on
+the nullset; `axiom_oracle` is the independent judge of them.  It is the
+brute-force axiom check in pastures.py, which serves every group table and
+every row count, so the scalar and skew oracles run the same code.
 """
 
 from __future__ import annotations
@@ -14,21 +15,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import CapacityError
 from .groups import AbelianGroup, automorphisms_fixing
 from .hexagons import build_table
 from .morphisms import hexagon_permutation
-from .pastures import ORACLE_ORDER_CAP
-
-
-def _lowbit_groups(width: int) -> list[tuple[int, np.ndarray]]:
-    """Masks 1..2^width-1 grouped by lowest set bit, high bit first."""
-    out = []
-    masks = np.arange(1, 1 << width, dtype=np.int64)
-    low = masks & -masks
-    for i in reversed(range(width)):
-        out.append((i, masks[low == (1 << i)]))
-    return out
+from .pastures import _axioms_hold
 
 
 def _exists_t(ns: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -108,53 +98,8 @@ class Kernels:
 
     # -- brute-force axiom oracle -----------------------------------------
 
-    @cached_property
-    def _carrier_negation(self) -> np.ndarray:
-        return np.concatenate(([0], self._em + 1))
-
-    def addition_masks(self, ns: np.ndarray) -> np.ndarray:
-        """(S, N, N) int32 carrier addition table, bit i+1 = element i."""
-        n = self.group.order
-        big = n + 1
-        s = len(ns)
-        bits = ns[:, self._hid3e]  # (S, n, n, n)
-        weights = (np.int64(1) << (np.arange(n, dtype=np.int64) + 1)).astype(np.int32)
-        b = np.zeros((s, big, big), dtype=np.int32)
-        b[:, 1:, 1:] = bits.astype(np.int32) @ weights
-        # 0 lands in x + y exactly when x = unit * y
-        pat = (np.arange(n)[:, None] == self._em[None, :])
-        b[:, 1:, 1:] += pat.astype(np.int32)
-        single = (np.int64(1) << np.arange(big, dtype=np.int64)).astype(np.int32)
-        b[:, 0, :] = single
-        b[:, 1:, 0] = single[1:]
-        return b
-
     def axiom_oracle(self, ns: np.ndarray) -> np.ndarray:
-        n = self.group.order
-        if n > ORACLE_ORDER_CAP:
-            raise CapacityError(f"oracle is capped at order {ORACLE_ORDER_CAP}, got {n}")
-        big = n + 1
-        s = len(ns)
-        b = self.addition_masks(ns)
-        ok = (b != 0).all(axis=(1, 2))
-        ok &= (b == b.swapaxes(1, 2)).all(axis=(1, 2))
-        expect0 = np.arange(big)[:, None] == self._carrier_negation[None, :]
-        ok &= ((b & 1).astype(bool) == expect0).all(axis=(1, 2))
-        # scaling by any group element permutes the membership tensor
-        bits = ns[:, self._hid3e]
-        for t in range(1, n):
-            mt = self._m[t]
-            ok &= (bits == bits[:, mt][:, :, mt][:, :, :, mt]).all(axis=(1, 2, 3))
-        # associativity via per-column union-over-subset tables
-        full = 1 << big
-        t_tab = np.zeros((s, big, full), dtype=np.int32)
-        for i, masks in _lowbit_groups(big):
-            t_tab[:, :, masks] = t_tab[:, :, masks - (1 << i)] | b[:, :, i][:, :, None]
-        idx = np.broadcast_to(b.reshape(s, 1, big * big), (s, big, big * big)).astype(np.int64)
-        gathered = np.take_along_axis(t_tab, idx, axis=2).reshape(s, big, big, big)
-        left = np.moveaxis(gathered, 1, 3)  # left[s,g,h,k] = gathered[s,k,g,h]
-        ok &= (left == gathered).all(axis=(1, 2, 3))
-        return ok
+        return _axioms_hold(self._m, self.unit_index, self._hid3, ns)
 
     # -- star, 4-full, 0/0, field -----------------------------------------
 

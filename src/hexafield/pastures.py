@@ -9,9 +9,10 @@ over hexagon indices.  Addition is reconstructed from the nullset:
 
 with x + 0 = {x}.  The fast hyperfield test checks two first-order
 conditions over the nullset; the axiom oracle rebuilds the whole addition
-table and verifies every hyperfield axiom by brute force.  The table builder
-and the axiom checker work over any group table, commutative or not, so the
-skew oracle runs through them too.
+table and verifies every hyperfield axiom by brute force.  One mask builder
+and one axiom check serve every group table, commutative or not, and any
+number of nullset rows: `axiom_oracle` passes one row, `Kernels.axiom_oracle`
+a batch, and the skew oracle a Cayley table.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import CapacityError
 from .groups import AbelianGroup, GroupElement
@@ -173,34 +176,40 @@ class AdditionTable:
         )
 
 
-def _addition_masks(table, eps: int, triple_to_hex,
-                    nullset: int) -> tuple[tuple[int, ...], ...]:
-    """Carrier masks of the addition over a group table (rows need not commute).
+def _nullset_row(nullset: int, size: int) -> np.ndarray:
+    """(1, size) bool row of a nullset bitset of any width."""
+    raw = np.frombuffer(nullset.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little").astype(bool)[None]
 
-    z lies in x + y exactly when the hexagon of the triple (x, y, eps*z) is in
-    the nullset, and 0 exactly when x = eps*y; 0 + x = x + 0 = {x}.
+
+def _carrier_masks(table: np.ndarray, eps: int, triple_to_hex: np.ndarray,
+                   ns: np.ndarray) -> np.ndarray:
+    """(S, N, N) carrier masks of the addition of each nullset row, N = n + 1.
+
+    The group table's rows need not commute.  z lies in x + y exactly when
+    the hexagon of the triple (x, y, eps*z) is selected, and 0 exactly when
+    x = eps*y; 0 + x = x + 0 = {x}.  Masks are int32 up to 31 carrier bits and
+    Python ints past that, so every order stays exact.
     """
     n = len(table)
+    big = n + 1
     neg = table[eps]
-    t2h = triple_to_hex.tolist()
-    masks = [tuple(1 << j for j in range(n + 1))]
-    for x in range(n):
-        row = [1 << (x + 1)]
-        for y in range(n):
-            acc = 1 if x == neg[y] else 0
-            for z in range(n):
-                if (nullset >> t2h[x][y][neg[z]]) & 1:
-                    acc |= 1 << (z + 1)
-            row.append(acc)
-        masks.append(tuple(row))
-    return tuple(masks)
+    dtype = np.int32 if big < 32 else object
+    single = np.array([1 << i for i in range(big)], dtype=dtype)
+    bits = ns[:, triple_to_hex[:, :, neg]].astype(dtype)  # (S, x, y, z)
+    b = np.zeros((len(ns), big, big), dtype=dtype)
+    b[:, 1:, 1:] = bits @ single[1:] + (np.arange(n)[:, None] == neg).astype(dtype)
+    b[:, 0, :] = single
+    b[:, 1:, 0] = single[1:]
+    return b
 
 
 def reconstruct_addition(pasture: Pasture) -> AdditionTable:
     """Rebuild the full carrier addition table from the nullset."""
-    masks = _addition_masks(pasture.group.mul_array.tolist(), pasture.unit_index,
-                            pasture.hex_table.triple_to_hex, pasture.nullset)
-    return AdditionTable(pasture.group, pasture.unit, masks)
+    table = pasture.hex_table
+    masks = _carrier_masks(pasture.group.mul_array, pasture.unit_index, table.triple_to_hex,
+                           _nullset_row(pasture.nullset, table.size))
+    return AdditionTable(pasture.group, pasture.unit, tuple(map(tuple, masks[0].tolist())))
 
 
 # -- hyperfield tests ------------------------------------------------------
@@ -254,53 +263,52 @@ def _permute_mask(mask: int, perm) -> int:
     return out
 
 
-def _check_axioms(table, eps: int, masks) -> bool:
-    """Every hyperfield axiom on carrier masks built over the group table."""
+def _check_oracle_order(n: int) -> None:
+    if n > ORACLE_ORDER_CAP:
+        raise CapacityError(f"addition table capped at group order {ORACLE_ORDER_CAP}, "
+                            f"got order {n}")
+
+
+def _axioms_hold(table: np.ndarray, eps: int, triple_to_hex: np.ndarray,
+                 ns: np.ndarray) -> np.ndarray:
+    """(S,) bool: every hyperfield axiom, by brute force, per nullset row.
+
+    Works over any group table; scaling is checked on both sides wherever
+    left and right multiplication differ.
+    """
     n = len(table)
+    _check_oracle_order(n)
     big = n + 1
-    neg = (0,) + tuple(table[eps][x] + 1 for x in range(n))
+    s = len(ns)
+    b = _carrier_masks(table, eps, triple_to_hex, ns)
     # nonempty and commutative sums, 0 in a + c exactly when a = -c
-    for a in range(big):
-        for c in range(big):
-            ac = masks[a][c]
-            if ac == 0 or ac != masks[c][a] or bool(ac & 1) != (a == neg[c]):
-                return False
-    # zero is the hyperaddition's neutral element
-    if any(masks[0][j] != 1 << j for j in range(big)):
-        return False
-    # associativity of the set extension, via per-column union tables
-    full = 1 << big
-    union = []
-    for row in masks:
-        t = [0] * full
-        for mask in range(1, full):
-            low = mask & -mask
-            t[mask] = t[mask ^ low] | row[low.bit_length() - 1]
-        union.append(t)
-    for a in range(big):
-        for c in range(big):
-            ac = masks[a][c]
-            for d in range(big):
-                if union[d][ac] != union[a][masks[c][d]]:
-                    return False
-    # scaling by any group element, on either side, permutes sums
-    for s in range(n):
-        left = [0] + [table[s][x] + 1 for x in range(n)]
-        right = [0] + [table[x][s] + 1 for x in range(n)]
-        for perm in (left,) if left == right else (left, right):
-            for a in range(big):
-                for c in range(big):
-                    if masks[perm[a]][perm[c]] != _permute_mask(masks[a][c], perm):
-                        return False
-    return True
+    ok = (b != 0).all(axis=(1, 2))
+    ok &= (b == b.swapaxes(1, 2)).all(axis=(1, 2))
+    neg = np.concatenate(([0], table[eps] + 1))
+    ok &= ((b & 1).astype(bool) == (np.arange(big)[:, None] == neg)).all(axis=(1, 2))
+    # scaling by any group element, on either side, permutes the membership tensor
+    bits = ns[:, triple_to_hex[:, :, table[eps]]]
+    for t in range(n):
+        left, right = table[t], table[:, t]
+        for perm in (left,) if (left == right).all() else (left, right):
+            ok &= (bits == bits[:, perm][:, :, perm][:, :, :, perm]).all(axis=(1, 2, 3))
+    # associativity via per-row union-over-subset tables, union[s, k, m] = the
+    # union of k + i over i in m, filled one highest bit at a time;
+    # gathered[s, k, g, h] = k + (g + h), which must equal g + (h + k)
+    union = np.zeros((s, big, 1 << big), dtype=np.int32)
+    for i in range(big):
+        union[:, :, 1 << i:2 << i] = union[:, :, :1 << i] | b[:, :, i, None]
+    idx = np.broadcast_to(b.reshape(s, 1, big * big), (s, big, big * big)).astype(np.int64)
+    gathered = np.take_along_axis(union, idx, axis=2).reshape(s, big, big, big)
+    ok &= (np.moveaxis(gathered, 1, 3) == gathered).all(axis=(1, 2, 3))
+    return ok
 
 
 def axiom_oracle(pasture: Pasture) -> bool:
     """Brute-force verdict: rebuild addition and check every axiom directly."""
-    g = pasture.group
-    _check_oracle_order(g)
-    table = reconstruct_addition(pasture)
-    return _check_axioms(g.mul_array.tolist(), pasture.unit_index, table.masks)
+    table = pasture.hex_table
+    return bool(_axioms_hold(pasture.group.mul_array, pasture.unit_index, table.triple_to_hex,
+                             _nullset_row(pasture.nullset, table.size))[0])
 
 
 def is_field(pasture: Pasture) -> bool:
@@ -339,7 +347,7 @@ def is_4full(pasture: Pasture) -> bool:
     g = pasture.group
     if g.order == 1 and pasture.nullset == 0:
         return False
-    _check_oracle_order(g)
+    _check_oracle_order(g.order)
     table = reconstruct_addition(pasture)
     b = table.masks
     neg = table.carrier_negation
@@ -353,12 +361,6 @@ def is_4full(pasture: Pasture) -> bool:
                 if not row & negated[cc][dd]:
                     return False
     return True
-
-
-def _check_oracle_order(g: AbelianGroup) -> None:
-    if g.order > ORACLE_ORDER_CAP:
-        raise CapacityError(f"addition table capped at group order {ORACLE_ORDER_CAP}, "
-                            f"{g.literal} has order {g.order}")
 
 
 def is_zero_over_zero(pasture: Pasture) -> bool:

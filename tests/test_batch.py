@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -127,15 +128,47 @@ def test_kernel_verdicts_past_oracle_pinned():
         "0e4cdbefcec025c9b17191eaffdbbca2348dab978d757a6b55c2274aeca3218f"
 
 
-def test_addition_masks_match_reconstruction():
-    g = AbelianGroup.from_literal("Z4")
-    unit = g.element((2,))
-    kernels = kernels_for(g, unit.index)
-    bits = all_bits(g)
-    masks = kernels.addition_masks(bits)
-    for i, p in enumerate(all_pastures(g, unit)):
-        table = reconstruct_addition(p)
-        assert masks[i].tolist() == [list(row) for row in table.masks]
+def test_reconstructed_masks_follow_the_pair_rule():
+    # a plain reference: z in x + y iff the pair (x (eps z)^-1, y (eps z)^-1)
+    # is selected, 0 in x + y iff x = eps y, and 0 + x = x + 0 = {x}
+    for lit in ["Z4", "Z2xZ2"]:
+        g = AbelianGroup.from_literal(lit)
+        n = g.order
+        m, inv = g.mul_array.tolist(), g.inv_array.tolist()
+        p2h = build_table(g).pair_to_hex.tolist()
+        for unit in g.units_of_order_le_2():
+            e = unit.index
+            for p in all_pastures(g, unit):
+                masks = reconstruct_addition(p).masks
+                for a, b, c in itertools.product(range(n + 1), repeat=3):
+                    if a == 0 or b == 0:
+                        want = c == a + b
+                    elif c == 0:
+                        want = a - 1 == m[e][b - 1]
+                    else:
+                        r = inv[m[e][c - 1]]
+                        want = p.has_hex(p2h[m[a - 1][r]][m[b - 1][r]])
+                    assert (masks[a][b] >> c) & 1 == want, (lit, e, p.nullset, a, b, c)
+
+
+def test_oracle_verdicts_pinned():
+    # the scalar oracle on every pasture of order <= 5, the batch oracle on
+    # sampled rows of the orders the census probes
+    digest = hashlib.sha256()
+    for g in abelian_groups_up_to(5):
+        for unit in g.units_of_order_le_2():
+            verdicts = [axiom_oracle(p) for p in all_pastures(g, unit)]
+            digest.update(f"{g.literal}/{unit.index}".encode())
+            digest.update(np.packbits(verdicts).tobytes())
+    for lit in ["Z8", "Z2xZ4", "Z9"]:
+        g = AbelianGroup.from_literal(lit)
+        bits = sample_bits(13, 0, 512, build_table(g).size)
+        for unit in g.units_of_order_le_2():
+            verdicts = kernels_for(g, unit.index).axiom_oracle(bits)
+            digest.update(f"{lit}/{unit.index}".encode())
+            digest.update(np.packbits(verdicts).tobytes())
+    assert digest.hexdigest() == \
+        "6a01e5219af10243a124c575c9708fa86f467e6d9d63a57b9914a523d0d12dcd"
 
 
 def test_all_eps_hexagons_event():

@@ -2,12 +2,14 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from hexafield.errors import CapacityError
 from hexafield.galois import one_minus_one_is_everything
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
+from hexafield.lottery import sample_bits
 from hexafield.pastures import (Pasture, all_pastures, axiom_oracle,
                                 fetvins_exhaustive, field_f2, field_f3,
                                 is_4full, is_field, is_hyperfield_fast,
@@ -188,3 +190,21 @@ def test_predicates_are_pinned_up_to_order_6():
             digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == \
         "4e1447e23580f13836cc0ac9fda3d2ab26344422c91695695368bd8635d02be0"
+
+
+def test_wide_addition_masks_pinned():
+    # Z31 and Z32 straddle a 32-bit mask, Z64 needs 65 bits, and every
+    # nullset here is wider than 64 hexagons
+    digest = hashlib.sha256()
+    for lit in ["Z31", "Z32", "Z63", "Z64", "Z8xZ8"]:
+        g = AbelianGroup.from_literal(lit)
+        size = build_table(g).size
+        full = (1 << size) - 1
+        drawn = sum(1 << int(h) for h in np.flatnonzero(sample_bits(3, 0, 1, size)[0]))
+        for nullset in (0, full, drawn):
+            masks = reconstruct_addition(Pasture(g, g.identity, nullset)).masks
+            digest.update(json.dumps([lit, nullset, masks]).encode())
+            # the full nullset puts the whole carrier into 1 + 1
+            assert nullset != full or masks[1][1] == (1 << g.order + 1) - 1
+    assert digest.hexdigest() == \
+        "ab902a3c2d60075d9e960acded2e72802fd71962e1f24ef4f0f19e2b34a2a37c"

@@ -3,11 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from hexafield.batch import ints_to_bits, kernels_for
+from hexafield.batch import bits_to_ints, ints_to_bits, kernels_for
 from hexafield.errors import CapacityError
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table, hexagon_count_formula
-from hexafield.pastures import all_pastures, axiom_oracle
+from hexafield.lottery import sample_bits
 from hexafield.skew import (BUILTIN_GROUPS, CayleyGroup, alternating_4,
                             burnside_orbit_count, dihedral, from_abelian,
                             quaternion_8, skew_axiom_oracle, skew_bound,
@@ -122,27 +122,42 @@ def test_capacity_caps():
         skew_axiom_oracle(D6, D6.identity, 0)  # order 12 over the oracle cap
 
 
-def test_oracle_agrees_with_abelian_oracle():
-    # the batch oracle is the reference that shares no code with the other two
+def _wrap_bits(ag, cg, nullset):
+    # the same nullset over the orbit table of the Cayley wrap
+    ht, st = build_table(ag), skew_hexagons(cg)
+    bits = 0
+    for h in range(ht.size):
+        if (nullset >> h) & 1:
+            u, v = ht.members[h][0]
+            bits |= 1 << st.hex_of_pair(u, v)
+    return bits
+
+
+def test_oracle_agrees_with_abelian_fast_check():
+    # the fast first-order check shares no code with the axiom oracle
     for lit in ["Z1", "Z2", "Z3", "Z4", "Z2xZ2"]:
         ag = AbelianGroup.from_literal(lit)
         cg = from_abelian(ag)
-        st = skew_hexagons(cg)
-        ht = build_table(ag)
+        size = build_table(ag).size
         units = [i for i in range(ag.order) if ag.inv_array[i] == i]
         for ui in units:
-            unit = ag.element_by_index(ui)
-            batch = kernels_for(ag, ui).axiom_oracle(
-                ints_to_bits(np.arange(1 << ht.size, dtype=np.int64), ht.size))
-            for p in all_pastures(ag, unit):
-                bits = 0
-                for h in range(ht.size):
-                    if (p.nullset >> h) & 1:
-                        u, v = ht.members[h][0]
-                        bits |= 1 << st.hex_of_pair(u, v)
-                assert skew_axiom_oracle(cg, ui, bits) == axiom_oracle(p) \
-                    == bool(batch[p.nullset]), \
-                    (lit, ui, p.nullset)
+            fast = kernels_for(ag, ui).is_hyperfield(
+                ints_to_bits(np.arange(1 << size, dtype=np.int64), size))
+            for nullset in range(1 << size):
+                assert skew_axiom_oracle(cg, ui, _wrap_bits(ag, cg, nullset)) \
+                    == bool(fast[nullset]), (lit, ui, nullset)
+
+
+def test_oracle_reaches_order_9():
+    ag = AbelianGroup.from_literal("Z3xZ3")
+    cg = from_abelian(ag)
+    size = build_table(ag).size
+    rows = sample_bits(17, 0, 64, size)
+    fast = kernels_for(ag, 0).is_hyperfield(rows)
+    got = [skew_axiom_oracle(cg, 0, _wrap_bits(ag, cg, int(v)))
+           for v in bits_to_ints(rows)]
+    assert 0 < sum(got) < len(got)
+    assert got == fast.tolist()
 
 
 def test_oracle_known_cases():
