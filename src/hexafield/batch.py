@@ -21,14 +21,6 @@ from .morphisms import hexagon_permutation
 from .pastures import _axioms_hold
 
 
-def _exists_t(ns: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(S, I, J) bool: some t has ns[s, left[i, t]] and ns[s, right[j, t]]."""
-    # float32 einsum so the any-over-t contraction runs through BLAS
-    a = ns[:, left].astype(np.float32)
-    b = ns[:, right].astype(np.float32)
-    return np.einsum("sit,sjt->sij", a, b, optimize=True) > 0.5
-
-
 @dataclass(frozen=True)
 class Kernels:
     group: AbelianGroup
@@ -51,49 +43,52 @@ class Kernels:
         # the pair (u, v) is the triple (u, v, 1), and (tu, tv) is (u, v, t^-1)
         return build_table(self.group).triple_to_hex
 
-    @cached_property
-    def _hid3e(self) -> np.ndarray:
-        # hexagon of (x, y, unit*z): the membership bit of z in x + y
-        return self._hid3[:, :, self._em]
-
     @property
     def n_hex(self) -> int:
         return build_table(self.group).size
 
-    # -- fast hyperfield check --------------------------------------------
-
-    @cached_property
-    def _b_index(self):
+    def _sums(self, ns: np.ndarray) -> np.ndarray:
+        """(n, n, S) words: bit t of [x, y, s] is set iff row s selects the
+        hexagon of the triple (x, y, t), so "some t has both hexagons
+        selected" is one `&` of two words and a test for nonzero."""
         n = self.group.order
-        em, hid3 = self._em, self._hid3
-        grid = np.arange(n)
-        x, z, y, w = np.ix_(grid, grid, grid, grid)
-        offdiag = (x != z) | (y != w)  # [x, z, y, w]
-        # [x][z, t] = hex(x, unit*z, t) and [(y, w), t] = hex(unit*y, w, t)
-        return hid3[:, em], hid3[em].reshape(n * n, n), offdiag
+        word = np.dtype(f"uint{max(8, 1 << (n - 1).bit_length())}")
+        cols = np.ascontiguousarray(ns.T, dtype=word)  # (hexagons, S): one gather per t
+        out = cols[self._hid3[:, :, 0]]
+        for t in range(1, n):
+            out |= cols[self._hid3[:, :, t]] << word.type(t)
+        return out
+
+    # -- fast hyperfield check --------------------------------------------
 
     def is_hyperfield(self, ns: np.ndarray) -> np.ndarray:
         """Condition A on every row, then condition B one x at a time.
 
         B asks that any two distinct selected pairs (x, y) and (z, w) have
-        some t with hex(x, unit*z, t) and hex(unit*y, w, t) selected.  Block
-        x holds the first pair's x fixed and builds an (A, n, n^2) tensor
-        for the A rows that are still alive and select some (x, y); a row
-        leaves as soon as one block shows a violation.
+        some t with hex(x, unit*z, t) and hex(unit*y, w, t) selected.  The
+        maps (x, y, z, w) -> (z, w, x, y) and -> (y, x, w, z) fix B, its
+        premise and distinctness, so every orbit of that Klein group has a
+        member whose x is least, and block x needs only y, z, w >= x.  It
+        builds an (m, m, m) block, m = n - x, for the rows still alive that
+        select some (x, y); a row leaves as soon as one block shows a
+        violation.
         """
-        n = self.group.order
-        hb1, hb2, offdiag = self._b_index
-        in2 = ns[:, self._hid3[:, :, 0]]  # (S, n, n)
+        n, em = self.group.order, self._em
+        sums = self._sums(ns)
+        sel = (sums & 1).astype(bool)  # [x, y, s]: bit 0, t = 1, is the pair (x, y)
         keep = np.arange(n) != self.unit_index
-        ok = in2.any(axis=2)[:, keep].all(axis=1)
+        ok = sel.any(axis=1)[keep].all(axis=0)
         for x in range(n):
-            rows = np.flatnonzero(ok & in2[:, x].any(axis=1))
+            rows = np.flatnonzero(ok & sel[x, x:].any(axis=0))
             if len(rows) == 0:
                 continue
-            sel = in2[rows]
-            cross = _exists_t(ns[rows], hb1[x], hb2).reshape(-1, n, n, n)  # [a,z,y,w]
-            premise = sel[:, None, x, :, None] & sel[:, :, None, :]
-            ok[rows] = ~(premise & ~cross & offdiag[x]).any(axis=(1, 2, 3))
+            p, s, m = sums.take(rows, axis=2), sel.take(rows, axis=2), n - x
+            # [z, y, w, a]: no t has hex(x, unit*z, t) and hex(unit*y, w, t)
+            bad = (p[x, em[x:]][:, None, None] & p[em[x:], x:][None]) == 0
+            bad &= s[x, x:][None, :, None]  # (x, y) selected
+            bad &= s[x:, None, x:]  # (z, w) selected
+            bad[0, np.arange(m), np.arange(m)] = False  # (z, w) = (x, y)
+            ok[rows] = ~bad.any(axis=(0, 1, 2))
         return ok
 
     # -- brute-force axiom oracle -----------------------------------------
@@ -105,31 +100,24 @@ class Kernels:
 
     def satisfies_star(self, ns: np.ndarray) -> np.ndarray:
         # some u has hex(u, u a) and hex(u b, u c): triples (1, a, t), (b, c, t), t = u^-1
-        n = self.group.order
-        return _exists_t(ns, self._hid3[0], self._hid3.reshape(n * n, n)).all(axis=(1, 2))
-
-    @cached_property
-    def _four_index(self):
-        n = self.group.order
-        em = self._em
-        h41 = self._hid3e[0]  # [b, t] = hex(1, b, unit*t)
-        grid = np.arange(n)
-        b, c, d = np.ix_(grid, grid, grid)
-        trivial = (b == self.unit_index) & (c == em[d.reshape(-1)].reshape(1, 1, n))
-        return h41, trivial.reshape(1, n, n * n)
+        sums = self._sums(ns)
+        return ((sums[0][:, None, None] & sums[None]) != 0).all(axis=(0, 1, 2))
 
     def is_4full(self, ns: np.ndarray) -> np.ndarray:
-        n = self.group.order
-        h41, trivial = self._four_index
-        cross = _exists_t(ns, h41, self._hid3.reshape(n * n, n))  # (S, b, (c,d))
-        ok = (cross | trivial).all(axis=(1, 2))
+        # some t has hex(1, b, unit*t) = hex(unit, unit*b, t) and hex(c, d, t),
+        # unless b = unit and c = unit*d
+        n, em = self.group.order, self._em
+        sums = self._sums(ns)
+        hit = (sums[self.unit_index, em][:, None, None] & sums[None]) != 0  # [b, c, d]
+        hit[self.unit_index, em, np.arange(n)] = True
+        ok = hit.all(axis=(0, 1, 2))
         if n == 1:
             ok &= ns.any(axis=1)  # F2 is excluded by definition
         return ok
 
     def one_plus_minus_one(self, ns: np.ndarray) -> np.ndarray:
         """(S, n) bool: nonzero membership bits of 1 + (-1)."""
-        return ns[:, self._hid3e[0, self.unit_index]]
+        return ns[:, self._hid3[0, self.unit_index, self._em]]
 
     def is_zero_over_zero(self, ns: np.ndarray) -> np.ndarray:
         s_mask = self.one_plus_minus_one(ns)

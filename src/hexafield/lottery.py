@@ -21,9 +21,10 @@ WILSON_Z = 1.959963984540054  # 97.5th percentile of the standard normal
 CENSUS_HEX_CAP = 22
 CLASSIFY_HEX_CAP = 16
 LOTTERY_SAMPLE_CAP = 2**30  # 262,144 chunks of 4096 samples
-# Chunk budget of is_hyperfield / is_field, sized on n^4 float32 per sample.  The
-# kernel's largest block is A*n^3 float32 for the A <= chunk rows still alive,
-# so the budget is conservative by a factor of n.
+# Chunk budget of is_hyperfield / is_field, sized on n^4 * 4 bytes per sample.
+# The kernel's largest per-row tensor is the first block (x = 1): n^3
+# words of at most 2 bytes up to n = 16 and an (n, n, n) bool block made from
+# them, so the budget is conservative by a factor of more than n.
 LOTTERY_TENSOR_BYTES = 2**30
 ORACLE_SUBSAMPLE = 100  # every 100th orbit representative is re-checked against the oracle
 THREAD_CAP = 256

@@ -88,6 +88,11 @@ class CayleyGroup:
     def conjugate(self, g: int, x: int) -> int:
         return self.table[self.table[g][x]][self.inverse[g]]
 
+    @cached_property
+    def _hexagons(self) -> HexagonTable:
+        _check_order(self.order)
+        return orbit_table(self)
+
 
 def _check_order(order: int) -> None:
     if order > CAYLEY_ORDER_CAP:
@@ -162,9 +167,9 @@ BUILTIN_GROUPS = {
 
 
 def skew_hexagons(g: CayleyGroup) -> HexagonTable:
-    """Orbits of G x G under the six maps and conjugation, uncached."""
-    _check_order(g.order)
-    return orbit_table(g)
+    """Orbits of G x G under the six maps and conjugation, built once per
+    group after the order cap is checked."""
+    return g._hexagons
 
 
 def skew_bound(g: CayleyGroup) -> int:

@@ -7,12 +7,14 @@ import pytest
 from hexafield.batch import (EVENT_NAMES, Kernels, bits_to_ints, ints_to_bits,
                              kernels_for)
 from hexafield.errors import CapacityError
+from hexafield.galois import (QuotientSpec, build_field, factor_prime_power,
+                              quotient_hyperfield)
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
 from hexafield.lottery import sample_bits
 from hexafield.morphisms import pasture_automorphisms
 from hexafield.pastures import (ORACLE_ORDER_CAP, Pasture, all_pastures,
-                                axiom_oracle, is_4full, is_field,
+                                _nullset_row, axiom_oracle, is_4full, is_field,
                                 is_hyperfield_fast, is_zero_over_zero,
                                 reconstruct_addition, satisfies_star)
 
@@ -93,11 +95,74 @@ def test_hyperfield_verdict_ignores_the_rest_of_the_chunk():
 
 
 def test_hyperfield_index_built_by_a_row_failing_condition_a():
-    # warm-up passes an all-zero row; the index tensors must exist afterwards
+    # the benchmark warms each kernel on an all-zero row, which fails
+    # condition A before any block runs; a row that runs every block must
+    # find every cached tensor already built
     g = AbelianGroup.from_literal("Z5")
     kernels = Kernels(g, 0)
-    assert not kernels.is_hyperfield(np.zeros((1, build_table(g).size), dtype=bool))[0]
-    assert "_b_index" in vars(kernels)
+    width = build_table(g).size
+    assert not kernels.is_hyperfield(np.zeros((1, width), dtype=bool))[0]
+    warm = set(vars(kernels))
+    assert kernels.is_hyperfield(np.ones((1, width), dtype=bool))[0]
+    assert set(vars(kernels)) == warm
+
+
+def _seeded_rows(g, unit_index, seed, dense=True):
+    """Uniform draws, the empty nullset, where the group allows one a
+    finite-field quotient and that quotient with one hexagon dropped, and
+    if `dense` two draws at density 0.97 and the full nullset."""
+    width = build_table(g).size
+    rng = np.random.default_rng(seed)
+    rows = [rng.random((2, width)) < 0.5, np.zeros((1, width), dtype=bool)]
+    for q in (2 * g.order + 1, 4 * g.order + 1, 6 * g.order + 1):
+        if factor_prime_power(q) == (q, 1):
+            # the unit is the class of -1 = g^((q - 1) / 2)
+            if (q - 1) // 2 % g.order == unit_index:
+                p = quotient_hyperfield(QuotientSpec(build_field(q, 1), g.order))
+                row = _nullset_row(p.nullset, width)
+                dropped = row.copy()
+                dropped[0, rng.choice(np.flatnonzero(row[0]))] = False
+                rows += [row, dropped]
+            break
+    if dense:
+        rows += [rng.random((2, width)) < 0.97, np.ones((1, width), dtype=bool)]
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("lit", ["Z1", "Z8", "Z9", "Z16", "Z17", "Z32", "Z33", "Z64"])
+def test_sums_bit_by_bit(lit):
+    # every word width: uint8 up to n = 8, uint16 to 16, uint32 to 32, uint64 to 64
+    g = AbelianGroup.from_literal(lit)
+    n = g.order
+    kernels = Kernels(g, 0)
+    ns = _seeded_rows(g, 0, n)
+    sums = kernels._sums(ns)
+    assert sums.shape == (n, n, len(ns)) and sums.dtype.itemsize * 8 >= n
+    assert sums.dtype.itemsize == 1 or sums.dtype.itemsize * 4 < n
+    bits = (sums[..., None] >> np.arange(n, dtype=sums.dtype)) & 1  # [x, y, s, t]
+    want = ns[:, build_table(g).triple_to_hex]  # [s, x, y, t]
+    assert (bits.astype(bool) == want.transpose(1, 2, 0, 3)).all()
+
+
+@pytest.mark.parametrize("lit, name, dense", [
+    ("Z17", "is_hyperfield", True),
+    ("Z17", "satisfies_star", True),
+    # the scalar checks visit every pair of selected pairs, or every
+    # triple, of a dense row
+    ("Z33", "is_hyperfield", False),
+    ("Z33", "satisfies_star", True),
+    ("Z64", "satisfies_star", False),
+])
+def test_wide_words_match_scalar(lit, name, dense):
+    # the pinned digests stop at n = 16; these reach uint32 and uint64 words
+    g = AbelianGroup.from_literal(lit)
+    for unit in g.units_of_order_le_2():
+        ns = _seeded_rows(g, unit.index, 5, dense)
+        got = kernels_for(g, unit.index).event(name, ns)
+        want = [SCALAR[name](Pasture(g, unit, int.from_bytes(
+            np.packbits(row, bitorder="little").tobytes(), "little"))) for row in ns]
+        assert got.tolist() == want, (lit, unit.index)
+        assert 0 < sum(want) < len(want), (lit, unit.index)
 
 
 def test_star_decomposition_on_batch():

@@ -192,7 +192,7 @@ def test_estimate_tensor_budget_bounds_chunks(monkeypatch):
     monkeypatch.setattr(lottery, "_run_chunks", recording)
     assert estimate(spec, "is_hyperfield") == want
     assert set(chunk_rows) == {2000}  # one default chunk below the budget
-    # 5^4 float32 entries per sample: a 100-sample budget gives 20 chunks
+    # 5^4 * 4 bytes per sample: a 100-sample budget gives 20 chunks
     monkeypatch.setattr(lottery, "LOTTERY_TENSOR_BYTES", 100 * 5**4 * 4)
     for threads in [1, 2]:
         chunk_rows.clear()

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from hexafield import skew
 from hexafield.batch import bits_to_ints, ints_to_bits, kernels_for
 from hexafield.errors import CapacityError
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
@@ -184,6 +185,16 @@ def test_oracle_exhaustive_counts():
         size = skew_hexagons(g).size
         assert sum(skew_axiom_oracle(g, eps, bits) for bits in range(1 << size)) == hits, \
             (g.name, eps)
+
+
+def test_oracle_builds_the_orbit_table_once_per_group(monkeypatch):
+    built = []
+    build = skew.orbit_table
+    monkeypatch.setattr(skew, "orbit_table", lambda g: built.append(g.name) or build(g))
+    g = dihedral(4)
+    verdicts = [skew_axiom_oracle(g, 0, bits) for bits in range(40)]
+    assert any(verdicts) and built == ["D4"]
+    assert skew_hexagons(g) is skew_hexagons(g) and built == ["D4"]
 
 
 def test_oracle_eps_validation():
