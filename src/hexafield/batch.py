@@ -21,6 +21,20 @@ from .morphisms import hexagon_permutation
 from .pastures import _axioms_hold
 
 
+_BLOCK_ELEMENTS = 1 << 20  # elements of one slab of a kernel's 4-axis tensor
+
+
+def _all_slabs(lead: int, per: int, holds) -> np.ndarray:
+    """Per-row AND of holds(lo, hi) over slabs [lo, hi) of a leading axis of
+    `lead` indices, `per` tensor elements each: every slab holds at most
+    _BLOCK_ELEMENTS elements, or one index when that alone is more."""
+    step = max(1, _BLOCK_ELEMENTS // max(per, 1))
+    ok = holds(0, min(step, lead))
+    for lo in range(step, lead, step):
+        ok &= holds(lo, min(lo + step, lead))
+    return ok
+
+
 @dataclass(frozen=True)
 class Kernels:
     group: AbelianGroup
@@ -69,9 +83,9 @@ class Kernels:
         maps (x, y, z, w) -> (z, w, x, y) and -> (y, x, w, z) fix B, its
         premise and distinctness, so every orbit of that Klein group has a
         member whose x is least, and block x needs only y, z, w >= x.  It
-        builds an (m, m, m) block, m = n - x, for the rows still alive that
-        select some (x, y); a row leaves as soon as one block shows a
-        violation.
+        checks an (m, m, m) block, m = n - x, in z-slabs for the rows still
+        alive that select some (x, y); a row leaves as soon as one block
+        shows a violation.
         """
         n, em = self.group.order, self._em
         sums = self._sums(ns)
@@ -83,12 +97,19 @@ class Kernels:
             if len(rows) == 0:
                 continue
             p, s, m = sums.take(rows, axis=2), sel.take(rows, axis=2), n - x
-            # [z, y, w, a]: no t has hex(x, unit*z, t) and hex(unit*y, w, t)
-            bad = (p[x, em[x:]][:, None, None] & p[em[x:], x:][None]) == 0
-            bad &= s[x, x:][None, :, None]  # (x, y) selected
-            bad &= s[x:, None, x:]  # (z, w) selected
-            bad[0, np.arange(m), np.arange(m)] = False  # (z, w) = (x, y)
-            ok[rows] = ~bad.any(axis=(0, 1, 2))
+            right = p[em[x:], x:]  # [y, w, a]: hex(unit*y, w, t)
+
+            def holds(lo, hi):
+                # [z, y, w, a], z in [x + lo, x + hi): no t has hex(x, unit*z, t)
+                # and hex(unit*y, w, t)
+                bad = (p[x, em[x + lo:x + hi], None, None] & right) == 0
+                bad &= s[x, x:][None, :, None]  # (x, y) selected
+                bad &= s[x + lo:x + hi, None, x:]  # (z, w) selected
+                if lo == 0:
+                    bad[0, np.arange(m), np.arange(m)] = False  # (z, w) = (x, y)
+                return ~bad.any(axis=(0, 1, 2))
+
+            ok[rows] = _all_slabs(m, m * m * len(rows), holds)
         return ok
 
     # -- brute-force axiom oracle -----------------------------------------
@@ -100,17 +121,26 @@ class Kernels:
 
     def satisfies_star(self, ns: np.ndarray) -> np.ndarray:
         # some u has hex(u, u a) and hex(u b, u c): triples (1, a, t), (b, c, t), t = u^-1
-        sums = self._sums(ns)
-        return ((sums[0][:, None, None] & sums[None]) != 0).all(axis=(0, 1, 2))
+        n, sums = self.group.order, self._sums(ns)
+
+        def holds(lo, hi):  # [a, b, c, s] over a in [lo, hi)
+            return ((sums[0, lo:hi, None, None] & sums[None]) != 0).all(axis=(0, 1, 2))
+
+        return _all_slabs(n, n * n * len(ns), holds)
 
     def is_4full(self, ns: np.ndarray) -> np.ndarray:
         # some t has hex(1, b, unit*t) = hex(unit, unit*b, t) and hex(c, d, t),
         # unless b = unit and c = unit*d
-        n, em = self.group.order, self._em
+        n, u, em = self.group.order, self.unit_index, self._em
         sums = self._sums(ns)
-        hit = (sums[self.unit_index, em][:, None, None] & sums[None]) != 0  # [b, c, d]
-        hit[self.unit_index, em, np.arange(n)] = True
-        ok = hit.all(axis=(0, 1, 2))
+
+        def holds(lo, hi):  # [b, c, d, s] over b in [lo, hi)
+            hit = (sums[u, em[lo:hi], None, None] & sums[None]) != 0
+            if lo <= u < hi:
+                hit[u - lo, em, np.arange(n)] = True
+            return hit.all(axis=(0, 1, 2))
+
+        ok = _all_slabs(n, n * n * len(ns), holds)
         if n == 1:
             ok &= ns.any(axis=1)  # F2 is excluded by definition
         return ok

@@ -22,9 +22,10 @@ CENSUS_HEX_CAP = 22
 CLASSIFY_HEX_CAP = 16
 LOTTERY_SAMPLE_CAP = 2**30  # 262,144 chunks of 4096 samples
 # Chunk budget of is_hyperfield / is_field, sized on n^4 * 4 bytes per sample.
-# The kernel's largest per-row tensor is the first block (x = 1): n^3
-# words of at most 2 bytes up to n = 16 and an (n, n, n) bool block made from
-# them, so the budget is conservative by a factor of more than n.
+# The kernel holds a few (n, n) arrays per row, of words of at most 2 bytes up
+# to n = 16, and builds condition B in slabs of at most batch._BLOCK_ELEMENTS
+# elements (one z, n^2 elements per row, when a chunk is wider than that), so
+# the budget is conservative by a factor of more than n.
 LOTTERY_TENSOR_BYTES = 2**30
 ORACLE_SUBSAMPLE = 100  # every 100th orbit representative is re-checked against the oracle
 THREAD_CAP = 256
@@ -87,12 +88,15 @@ _S32 = np.uint64(32)
 
 
 def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product a * b, from 32-bit halves."""
+    """High and low words of the 128-bit product a * b, from 32-bit halves.
+
+    mid < 2^64: a0*b1 <= 2^64 - 2^33 + 1 and the two added terms are below 2^32.
+    """
     a0, a1 = a & _LO32, a >> _S32
     b0, b1 = b & _LO32, b >> _S32
-    cross0, cross1 = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> _S32) + (cross0 & _LO32) + (cross1 & _LO32)
-    hi = a1 * b1 + (cross0 >> _S32) + (cross1 >> _S32) + (mid >> _S32)
+    cross = a1 * b0
+    mid = a0 * b1 + ((a0 * b0) >> _S32) + (cross & _LO32)
+    hi = a1 * b1 + (cross >> _S32) + (mid >> _S32)
     return hi, a * b
 
 
@@ -109,21 +113,34 @@ def sample_bits(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     rows, blocks = stop - start, (width + 255) // 256  # 4 words of 64 bits per block
     if rows == 0:
         return np.zeros((0, width), dtype=bool)
-    # the generator bumps its counter before the first block, so block b uses b + 1
-    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (rows, 1))
-    c1 = c2 = c3 = np.zeros_like(c0)
+    # The generator bumps its counter before the first block, so block b uses
+    # (b + 1, 0, 0, 0) in every row and only the key word k1 = i differs between
+    # rows.  Words start as per-block or scalar values and broadcast, so round 0's
+    # products and round 1's M0 product are never computed per row.
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
+    c1 = c2 = c3 = np.uint64(0)
     k0 = np.uint64(seed % (1 << 64))
     k1 = np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(start)
+    words = (width + 63) // 64
+    # blocks whose words 2 and 3 are read: the M0 product feeds only those
+    full = blocks if words - 4 * (blocks - 1) > 2 else blocks - 1
+    raw = np.empty((rows, blocks, 4), dtype=np.uint64)
     with np.errstate(over="ignore"):
-        for r in range(10):
+        for r in range(9):
             if r:
                 k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
             hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
             hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
             c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    raw = np.stack([c0, c1, c2, c3], axis=2).reshape(rows, 4 * blocks)
-    pos = np.arange(width)
-    return (raw[:, pos // 64] >> (pos % 64).astype(np.uint64)) & np.uint64(1) > 0
+        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi1, raw[:, :, 1] = _mulhilo(_PHILOX_M[1], c2)
+        raw[:, :, 0] = hi1 ^ c1 ^ k0
+        if full:
+            hi0, raw[:, :full, 3] = _mulhilo(_PHILOX_M[0], c0[:, :full])
+            raw[:, :full, 2] = hi0 ^ c3[:, :full] ^ k1
+    # little-endian bytes put bit h of the row at bit h % 8 of byte h // 8
+    raw = raw.astype("<u8", copy=False).reshape(rows, 4 * blocks)[:, :words]
+    return np.unpackbits(raw.view(np.uint8), axis=1, count=width, bitorder="little").view(bool)
 
 
 def sample_pasture(spec: LotterySpec, index: int) -> Pasture:

@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hexafield import batch
 from hexafield.batch import (EVENT_NAMES, Kernels, bits_to_ints, ints_to_bits,
                              kernels_for)
 from hexafield.errors import CapacityError
@@ -191,6 +193,59 @@ def test_kernel_verdicts_past_oracle_pinned():
                 digest.update(np.packbits(getattr(kernels, name)(bits)).tobytes())
     assert digest.hexdigest() == \
         "0e4cdbefcec025c9b17191eaffdbbca2348dab978d757a6b55c2274aeca3218f"
+
+
+def test_kernels_accept_zero_rows():
+    # census hands star the hyperfields of a chunk, which may be none
+    for lit in ["Z1", "Z3", "Z8"]:
+        g = AbelianGroup.from_literal(lit)
+        kernels = kernels_for(g, 0)
+        empty = np.zeros((0, build_table(g).size), dtype=bool)
+        for name in ["is_hyperfield", "satisfies_star", "is_4full",
+                     "is_zero_over_zero", "is_field", "all_eps_hexagons",
+                     "has_nontrivial_automorphism"]:
+            got = getattr(kernels, name)(empty)
+            assert got.shape == (0,) and got.dtype == bool, (lit, name)
+
+
+@pytest.mark.parametrize("name", ["is_hyperfield", "satisfies_star", "is_4full"])
+def test_kernel_peak_bytes_bounded(name):
+    # numpy reports its buffers to tracemalloc; one unsplit (n, n, n) block of
+    # 256 rows at Z33 would take about 80 MiB
+    g = AbelianGroup.from_literal("Z33")
+    kernel = getattr(kernels_for(g, 0), name)
+    ns = sample_bits(1, 0, 256, build_table(g).size)
+    kernel(ns[:1])  # the cached index tensors are not part of a call
+    tracemalloc.start()
+    try:
+        kernel(ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 << 20, peak
+
+
+def test_one_index_slabs_match_the_default(monkeypatch):
+    # the pinned digests fit one slab per block; one index per slab also
+    # runs the slabs after the first, which hold no (z, w) = (x, y) diagonal.
+    # Every nullset of Z8 and Z2xZ4 is used: few rows fail condition B
+    # only on pairs (x, y), (z, y) with z > x.
+    names = ["is_hyperfield", "satisfies_star", "is_4full"]
+    cases = []
+    for lit in ["Z8", "Z2xZ4", "Z9", "Z13"]:
+        g = AbelianGroup.from_literal(lit)
+        width = build_table(g).size
+        for unit in g.units_of_order_le_2():
+            drawn = all_bits(g) if width <= 15 else sample_bits(3, 0, 2048, width)
+            ns = np.concatenate([drawn, _seeded_rows(g, unit.index, 3)])
+            kernels = kernels_for(g, unit.index)
+            cases.append((kernels, ns, [getattr(kernels, name)(ns) for name in names]))
+            assert 0 < cases[-1][2][0].sum() < len(ns), (lit, unit.index)
+    monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 1)
+    for kernels, ns, want in cases:
+        for name, verdicts in zip(names, want):
+            got = getattr(kernels, name)(ns)
+            assert (got == verdicts).all(), (kernels.group.literal, kernels.unit_index, name)
 
 
 def test_reconstructed_masks_follow_the_pair_rule():

@@ -58,8 +58,10 @@ def philox_reference(seed, start, stop, width):
 def test_sampler_matches_numpy_philox():
     lo = int(np.random.default_rng(2024).integers(0, 2**63)) * 2
     windows = [(0, 300), (lo, lo + 300), (2**64 - 300, 2**64)]
-    # 1 to 12 words, across the 4- and 8-word block boundaries; 715 is Z64's hexagon count
-    widths = [1, 4, 35, 64, 65, 256, 257, 715]
+    # 1 to 12 words, across the 4- and 8-word block boundaries; 715 is Z64's hexagon
+    # count.  The last block holds 2 words at 65 and 128, 3 at 129 and 192, and 4 at
+    # 256; 384 ends on a 2-word tail after a full block.
+    widths = [1, 4, 35, 64, 65, 128, 129, 192, 256, 257, 384, 715]
     for seed in [0, 1, -3, 2**64 - 1, 2**64 + 5]:
         for start, stop in windows:
             for width in widths:
