@@ -10,6 +10,7 @@ every row count, so the scalar and skew oracles run the same code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -21,17 +22,43 @@ from .morphisms import hexagon_permutation
 from .pastures import _axioms_hold
 
 
-_BLOCK_ELEMENTS = 1 << 20  # elements of one slab of a kernel's 4-axis tensor
+# one slab of a kernel's 4-axis tensor holds at most this many elements of
+# uint8 words, and proportionally fewer of wider words: 1 MiB, which stays in
+# cache between the slab's `&` and its `min`, unless one (i, k) pair alone
+# holds more
+_BLOCK_ELEMENTS = 1 << 20
 
 
-def _all_slabs(lead: int, per: int, holds) -> np.ndarray:
-    """Per-row AND of holds(lo, hi) over slabs [lo, hi) of a leading axis of
-    `lead` indices, `per` tensor elements each: every slab holds at most
-    _BLOCK_ELEMENTS elements, or one index when that alone is more."""
-    step = max(1, _BLOCK_ELEMENTS // max(per, 1))
-    ok = holds(0, min(step, lead))
-    for lo in range(step, lead, step):
-        ok &= holds(lo, min(lo + step, lead))
+def _all_slabs(a: np.ndarray, b: np.ndarray, fix=None) -> np.ndarray:
+    """Per-row test that every word of a & b is nonzero.
+
+    a and b broadcast to [i, k, ..., rows], a with one k.  The test runs in
+    slabs t = a[i:i + di] & b[:, k:k + dk] that share one buffer: whole
+    indices i while they fit in _BLOCK_ELEMENTS bytes, else one i split
+    along k, down to one (i, k) when that alone is more.  fix(t, i, k) may
+    set words of a slab to all ones first.
+    """
+    lead, mid, *rest = np.broadcast(a, b).shape
+    per = math.prod(rest)
+    if per == 0:
+        return np.ones(0, dtype=bool)  # no rows
+    fit = max(1, _BLOCK_ELEMENTS // (per * a.itemsize))  # (i, k) pairs per slab
+    di, dk = (min(lead, fit // mid), mid) if fit >= mid else (1, fit)
+    axes = tuple(range(len(rest) + 1))  # all but the rows
+    buf = ok = None
+    for i in range(0, lead, di):
+        for k in range(0, mid, dk):
+            ai, bk = a[i:i + di], b[:, k:k + dk]
+            if buf is None:
+                t = buf = ai & bk
+            else:
+                t = np.bitwise_and(ai, bk, out=buf[:len(ai), :bk.shape[1]])
+            if fix is not None:
+                fix(t, i, k)
+            if ok is None:
+                ok = t.min(axis=axes) != 0
+            else:
+                ok &= t.min(axis=axes) != 0
     return ok
 
 
@@ -56,6 +83,12 @@ class Kernels:
         # hexagon of the triple (x, y, z), shared by every unit of the group;
         # the pair (u, v) is the triple (u, v, 1), and (tu, tv) is (u, v, t^-1)
         return build_table(self.group).triple_to_hex
+
+    @cached_property
+    def _upper(self) -> np.ndarray:
+        # [x, y, 1]: y >= x
+        n = self.group.order
+        return np.triu(np.ones((n, n), dtype=bool))[:, :, None]
 
     @property
     def n_hex(self) -> int:
@@ -83,33 +116,52 @@ class Kernels:
         maps (x, y, z, w) -> (z, w, x, y) and -> (y, x, w, z) fix B, its
         premise and distinctness, so every orbit of that Klein group has a
         member whose x is least, and block x needs only y, z, w >= x.  It
-        checks an (m, m, m) block, m = n - x, in z-slabs for the rows still
-        alive that select some (x, y); a row leaves as soon as one block
-        shows a violation.
+        checks an (m, m, m) block, m = n - x, in slabs (`_all_slabs`) for the
+        rows still alive that select some (x, y); a row leaves as soon as one
+        block shows a violation.
+
+        The premises are folded into the words: L[z, w] = P[x, unit*z] where
+        (z, w) is selected and R[y, w] = P[unit*y, w] where (x, y) is, all
+        ones elsewhere, so a slab is one `&` and one `min`.  That needs
+        nonzero words.  After A, P[a, b] is zero only at b = unit*a, and
+        then for every a at once, exactly when 1 + unit is empty.  On such
+        field-like rows the words P[a, unit*a] are set to all ones, and the
+        tuples that read them (z = x, or w = y) are decided first.
         """
-        n, em = self.group.order, self._em
+        n, u, em = self.group.order, self.unit_index, self._em
         sums = self._sums(ns)
         sel = (sums & 1).astype(bool)  # [x, y, s]: bit 0, t = 1, is the pair (x, y)
-        keep = np.arange(n) != self.unit_index
+        keep = np.arange(n) != u
         ok = sel.any(axis=1)[keep].all(axis=0)
+        own = sel & self._upper  # [x, y, s]: (x, y) selected, y >= x
+        flat = np.flatnonzero(ok & (sums[0, u] == 0))  # field-like rows
+        if len(flat):
+            # z = x: no two pairs (x, y), (x, w); w = y: no (z, y) with z > x
+            f, later = own[:, :, flat], np.zeros_like(sel[:, :, flat])
+            np.logical_or.accumulate(sel[:0:-1, :, flat], axis=0, out=later[-2::-1])
+            ok[flat] = (f.sum(axis=1) < 2).all(axis=0) & ~(f & later).any(axis=(0, 1))
+            sums[np.arange(n)[:, None], em[:, None], flat] = ~sums.dtype.type(0)
+        pe = sums[em] if u else sums  # [y, w] = P[unit*y, w] = P[w, unit*y]
+        pairs = own.any(axis=1)
         for x in range(n):
-            rows = np.flatnonzero(ok & sel[x, x:].any(axis=0))
+            rows = np.flatnonzero(ok & pairs[x])
             if len(rows) == 0:
                 continue
-            p, s, m = sums.take(rows, axis=2), sel.take(rows, axis=2), n - x
-            right = p[em[x:], x:]  # [y, w, a]: hex(unit*y, w, t)
+            # premise masks: all ones where (z, w), or for right (x, y), is not selected
+            left = np.subtract(sel[x:, x:].take(rows, axis=2), 1, dtype=sums.dtype)
+            right = pe[x:, x:].take(rows, axis=2)  # [y, w, a]
+            right |= left[0, :, None]
+            left |= pe[x:, x].take(rows, axis=1)[:, None]  # [z, w, a]: P[x, unit*z]
+            diag = np.arange(n - x)
 
-            def holds(lo, hi):
-                # [z, y, w, a], z in [x + lo, x + hi): no t has hex(x, unit*z, t)
-                # and hex(unit*y, w, t)
-                bad = (p[x, em[x + lo:x + hi], None, None] & right) == 0
-                bad &= s[x, x:][None, :, None]  # (x, y) selected
-                bad &= s[x + lo:x + hi, None, x:]  # (z, w) selected
-                if lo == 0:
-                    bad[0, np.arange(m), np.arange(m)] = False  # (z, w) = (x, y)
-                return ~bad.any(axis=(0, 1, 2))
+            def unpaired(t, i, k):  # (z, w) = (x, y)
+                if i == 0:
+                    y = diag[k:k + t.shape[1]]
+                    t[0, y - k, y] = ~t.dtype.type(0)
 
-            ok[rows] = _all_slabs(m, m * m * len(rows), holds)
+            # [z, y, w, a]: some t has hex(x, unit*z, t) and hex(unit*y, w, t),
+            # or a premise fails
+            ok[rows] = _all_slabs(left[:, None], right[None], unpaired)
         return ok
 
     # -- brute-force axiom oracle -----------------------------------------
@@ -121,12 +173,8 @@ class Kernels:
 
     def satisfies_star(self, ns: np.ndarray) -> np.ndarray:
         # some u has hex(u, u a) and hex(u b, u c): triples (1, a, t), (b, c, t), t = u^-1
-        n, sums = self.group.order, self._sums(ns)
-
-        def holds(lo, hi):  # [a, b, c, s] over a in [lo, hi)
-            return ((sums[0, lo:hi, None, None] & sums[None]) != 0).all(axis=(0, 1, 2))
-
-        return _all_slabs(n, n * n * len(ns), holds)
+        sums = self._sums(ns)
+        return _all_slabs(sums[0, :, None, None], sums[None])  # [a, b, c, s]
 
     def is_4full(self, ns: np.ndarray) -> np.ndarray:
         # some t has hex(1, b, unit*t) = hex(unit, unit*b, t) and hex(c, d, t),
@@ -134,13 +182,12 @@ class Kernels:
         n, u, em = self.group.order, self.unit_index, self._em
         sums = self._sums(ns)
 
-        def holds(lo, hi):  # [b, c, d, s] over b in [lo, hi)
-            hit = (sums[u, em[lo:hi], None, None] & sums[None]) != 0
-            if lo <= u < hi:
-                hit[u - lo, em, np.arange(n)] = True
-            return hit.all(axis=(0, 1, 2))
+        def excluded(t, i, k):  # [b, c, d, s]; c = unit*d
+            if i <= u < i + len(t):
+                c = np.arange(k, k + t.shape[1])
+                t[u - i, c - k, em[c]] = ~sums.dtype.type(0)
 
-        ok = _all_slabs(n, n * n * len(ns), holds)
+        ok = _all_slabs(sums[u, em, None, None], sums[None], excluded)
         if n == 1:
             ok &= ns.any(axis=1)  # F2 is excluded by definition
         return ok

@@ -109,6 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args leaves it unchanged, so every run shares it
+
+
 def _cmd_hexcount(ns, out):
     group = AbelianGroup.from_literal(ns.group)
     out.write(f"{hexagon_count_formula(group)}\n")
@@ -228,9 +231,8 @@ _COMMANDS = {
 
 def run(argv, stdout=None) -> int:
     out = stdout if stdout is not None else sys.stdout
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else USAGE_EXIT
     try:

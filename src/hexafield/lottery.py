@@ -29,7 +29,12 @@ LOTTERY_SAMPLE_CAP = 2**30  # 262,144 chunks of 4096 samples
 LOTTERY_TENSOR_BYTES = 2**30
 ORACLE_SUBSAMPLE = 100  # every 100th orbit representative is re-checked against the oracle
 THREAD_CAP = 256
-_CHUNK = 4096  # fixed work unit, so the thread count never moves chunk boundaries
+# Chunks are fixed work units, so the thread count never moves their boundaries.
+# A census chunk is _CHUNK nullsets.  A lottery chunk holds at least _CHUNK_BITS
+# sampled bits and never fewer than _CHUNK rows, so narrow hexagon sets do not
+# spend each chunk on a few hundred numpy calls over tiny arrays.
+_CHUNK = 4096
+_CHUNK_BITS = 1 << 16
 
 
 def thread_count(threads: int | None = None) -> int:
@@ -194,16 +199,16 @@ def estimate(spec: LotterySpec, event: str, threads: int | None = None) -> Estim
         raise ValueError(f"unknown event {event!r}; known: {list(EVENT_NAMES)}")
     if spec.samples > LOTTERY_SAMPLE_CAP:
         raise CapacityError(f"lottery wants {spec.samples} samples; cap is {LOTTERY_SAMPLE_CAP}")
-    rows = _CHUNK
+    kernels = kernels_for(spec.group, spec.unit.index)
+    width = kernels.n_hex
+    rows = max(_CHUNK, _CHUNK_BITS // width)
     if event in ("is_hyperfield", "is_field"):
         row_bytes = spec.group.order ** 4 * 4
-        rows = min(_CHUNK, LOTTERY_TENSOR_BYTES // row_bytes)
+        rows = min(rows, LOTTERY_TENSOR_BYTES // row_bytes)
         if rows < 1:
             raise CapacityError(f"{event} needs {row_bytes} bytes per sample; "
                                 f"budget is {LOTTERY_TENSOR_BYTES}")
     nthreads = thread_count(threads)
-    kernels = kernels_for(spec.group, spec.unit.index)
-    width = kernels.n_hex
 
     def work(bounds):
         lo, hi = bounds

@@ -131,6 +131,26 @@ def _seeded_rows(g, unit_index, seed, dense=True):
     return np.concatenate(rows)
 
 
+def test_field_like_rows_match_the_oracle():
+    # with the hexagons of 1 + unit cleared, the words P[a, unit*a] are zero,
+    # so the kernel must decide the tuples that read them by the pair rule.
+    # Only Z6, Z7 and Z8 give such rows that are hyperfields (fields).
+    verdicts = []
+    for lit in ["Z5", "Z6", "Z7", "Z8", "Z2xZ4", "Z2xZ2xZ2"]:
+        g = AbelianGroup.from_literal(lit)
+        width = build_table(g).size
+        for unit in g.units_of_order_le_2():
+            kernels = kernels_for(g, unit.index)
+            free = np.setdiff1d(np.arange(width), kernels._hid3[0, unit.index])
+            ns = np.zeros((1 << len(free), width), dtype=bool)
+            ns[:, free] = ints_to_bits(np.arange(len(ns)), len(free))
+            want = kernels.axiom_oracle(ns)
+            assert (kernels.is_hyperfield(ns) == want).all(), (lit, unit.index)
+            assert (kernels.is_field(ns) == want).all(), (lit, unit.index)
+            verdicts.append(want)
+    assert 0 < np.concatenate(verdicts).sum() < sum(map(len, verdicts))
+
+
 @pytest.mark.parametrize("lit", ["Z1", "Z8", "Z9", "Z16", "Z17", "Z32", "Z33", "Z64"])
 def test_sums_bit_by_bit(lit):
     # every word width: uint8 up to n = 8, uint16 to 16, uint32 to 32, uint64 to 64

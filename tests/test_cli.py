@@ -39,6 +39,24 @@ def test_module_entry_point():
     assert (done.returncode, done.stdout) == (0, "4\n"), done.stderr
 
 
+def test_shared_parser_matches_a_fresh_process(capsys, monkeypatch):
+    # one parser serves every run; an error must leave nothing behind for
+    # the next run, so each argv gives the bytes and exit code of a new process
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    bad = ["lottery", "--group", "Z3", "--samples", "ten"]
+    good = ["lottery", "--group", "Z3", "--event", "star", "--samples", "500"]
+    for argv in [bad, good, bad]:
+        code = run(argv)
+        got = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "hexafield.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert code == 64
+
+
 def test_check_output_is_exact(tmp_path):
     path = write_pasture(tmp_path, sign_hyperfield(), "s.json")
     code, text = invoke("check", "--pasture", path)

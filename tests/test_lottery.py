@@ -224,6 +224,44 @@ def test_tensor_budget_keeps_default_chunks_up_to_z16(monkeypatch):
     assert first_chunk == [4096, 4096, 2**30 // (17**4 * 4)]
 
 
+def test_chunk_rows_follow_the_width(monkeypatch):
+    # at least 2^16 sampled bits and 4096 rows per chunk; the hyperfield
+    # budget still caps the rows (3213 at Z17), and threads never move them
+    layouts = []
+
+    def layout_only(work, bounds, threads):
+        layouts.append(bounds)
+        return [0]
+
+    monkeypatch.setattr(lottery, "_run_chunks", layout_only)
+    first_rows = {"Z1": 65536, "Z3": 16384, "Z5": 9362, "Z8": 4369, "Z13": 4096, "Z17": 4096}
+    for lit, rows in first_rows.items():
+        for event in ["satisfies_star", "is_hyperfield"]:
+            want = 3213 if (lit, event) == ("Z17", "is_hyperfield") else rows
+            layouts.clear()
+            for threads in [1, 2, 4]:
+                estimate(spec_for(lit, 0, 100_000), event, threads=threads)
+            assert layouts[0] == layouts[1] == layouts[2], (lit, event)
+            assert layouts[0][0] == (0, want), (lit, event)
+            assert layouts[0][-1][1] == 100_000
+
+
+def test_chunk_rows_leave_the_estimate_unchanged(monkeypatch):
+    spec = LotterySpec(Z3, Z3.identity, 1, 200_000)
+    want = estimate(spec, "satisfies_star", threads=2)
+    chunk_rows = []
+    run_chunks = lottery._run_chunks
+
+    def recording(work, bounds, threads):
+        chunk_rows.extend(hi - lo for lo, hi in bounds)
+        return run_chunks(work, bounds, threads)
+
+    monkeypatch.setattr(lottery, "_run_chunks", recording)
+    monkeypatch.setattr(lottery, "_CHUNK_BITS", 0)  # 4096 rows, as before the rule
+    assert estimate(spec, "satisfies_star", threads=2) == want
+    assert chunk_rows == [4096] * 48 + [3392]
+
+
 def test_estimate_validation():
     with pytest.raises(ValueError):
         Estimate("is_field", 1, 2, Fraction(1, 3), 0.0, 1.0)
