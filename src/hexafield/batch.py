@@ -18,7 +18,7 @@ import numpy as np
 
 from .groups import AbelianGroup, automorphisms_fixing
 from .hexagons import build_table
-from .morphisms import hexagon_permutation
+from .morphisms import hexagon_permutations
 from .pastures import _axioms_hold
 
 
@@ -217,15 +217,9 @@ class Kernels:
 
     @cached_property
     def nontrivial_hex_perms(self) -> np.ndarray:
-        table = build_table(self.group)
-        perms = [
-            hexagon_permutation(table, f.images)
-            for f in automorphisms_fixing(self.group, self.unit_index)
-            if not f.is_identity
-        ]
-        if not perms:
-            return np.zeros((0, table.size), dtype=np.int64)
-        return np.array(perms, dtype=np.int64)
+        return hexagon_permutations(build_table(self.group), [
+            f.images for f in automorphisms_fixing(self.group, self.unit_index)
+            if not f.is_identity])
 
     def has_nontrivial_automorphism(self, ns: np.ndarray) -> np.ndarray:
         perms = self.nontrivial_hex_perms

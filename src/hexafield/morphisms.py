@@ -4,16 +4,22 @@ the target.
 
 Canonical forms minimize the nullset bitset over unit-preserving group
 automorphisms, so two pastures on the same (group, unit) are isomorphic
-exactly when their canonical forms coincide.
+exactly when their canonical forms coincide.  Canonical forms, pasture
+automorphisms, isomorphism and the batch kernels' symmetry event all read
+one (automorphisms x hexagons) matrix, `hexagon_permutations`, gathered
+from the group's automorphism image tables and the hexagon table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import AbelianGroup, GroupAutomorphism, _check_multiplicative
+import numpy as np
+
+from .groups import (AbelianGroup, GroupAutomorphism, _check_multiplicative,
+                     automorphisms_fixing)
 from .hexagons import HexagonTable
-from .pastures import Pasture, _permute_mask
+from .pastures import Pasture, _nullset_row
 
 
 def is_morphism(images, src: Pasture, dst: Pasture) -> bool:
@@ -34,28 +40,31 @@ def is_morphism(images, src: Pasture, dst: Pasture) -> bool:
     return True
 
 
-def hexagon_permutation(table: HexagonTable, images) -> tuple[int, ...]:
-    """How a multiplicative bijection permutes hexagon indices."""
-    return tuple(
-        table.hex_of_pair(images[u], images[v]) for u, v in table.reps
-    )
+def hexagon_permutations(table: HexagonTable, images) -> np.ndarray:
+    """(k, hexagons) int64 from a (k, n) array of automorphism image tables:
+    row i sends each hexagon to its image under automorphism f_i.
+
+    Gathering a nullset row through row i, row[perms[i]], gives the
+    preimage f_i^-1(N), not the image f_i(N).
+    """
+    images = np.asarray(images, dtype=np.int64).reshape(-1, table.group.order)
+    ru, rv = np.array(table.reps, dtype=np.int64).T
+    return table.pair_to_hex[images[:, ru], images[:, rv]]
 
 
-def permute_nullset(table: HexagonTable, images, nullset: int) -> int:
-    return _permute_mask(nullset, hexagon_permutation(table, images))
-
-
-def _images(pasture: Pasture, unit_to: int):
-    """(f, f(nullset)) for every group automorphism f with f(unit) = unit_to."""
+def _preimages(pasture: Pasture, automorphisms) -> np.ndarray:
+    """(k, hexagons) bool: row i is f_i^-1(nullset)."""
     table = pasture.hex_table
-    for f in pasture.group.automorphisms():
-        if f.images[pasture.unit_index] == unit_to:
-            yield f, permute_nullset(table, f.images, pasture.nullset)
+    perms = hexagon_permutations(table, [f.images for f in automorphisms])
+    return _nullset_row(pasture.nullset, table.size)[0][perms]
 
 
 def pasture_automorphisms(pasture: Pasture) -> tuple[GroupAutomorphism, ...]:
     """Unit-preserving group automorphisms that fix the nullset."""
-    return tuple(f for f, bits in _images(pasture, pasture.unit_index) if bits == pasture.nullset)
+    autos = automorphisms_fixing(pasture.group, pasture.unit_index)
+    row = _nullset_row(pasture.nullset, pasture.hex_table.size)
+    fixed = (_preimages(pasture, autos) == row).all(axis=1)
+    return tuple(f for f, keep in zip(autos, fixed) if keep)
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,11 @@ class CanonicalForm:
 
 def canonical_form(pasture: Pasture) -> CanonicalForm:
     """Minimal nullset bitset over unit-preserving automorphisms."""
-    best = min(bits for _, bits in _images(pasture, pasture.unit_index))
+    autos = automorphisms_fixing(pasture.group, pasture.unit_index)
+    # f and f^-1 both fix the unit, so the preimages are the images
+    packed = np.packbits(_preimages(pasture, autos), axis=1, bitorder="little")
+    # lexsort's last key is its primary one, and the last byte is the most significant
+    best = int.from_bytes(packed[np.lexsort(packed.T)[0]].tobytes(), "little")
     return CanonicalForm(pasture.group, pasture.unit_index, best)
 
 
@@ -77,4 +90,8 @@ def are_isomorphic(p1: Pasture, p2: Pasture) -> bool:
     """Is there a bijective multiplicative map with equal nullsets?"""
     if p1.group != p2.group:
         return False
-    return any(bits == p2.nullset for _, bits in _images(p1, p2.unit_index))
+    # f(unit1) = unit2 and f(N1) = N2 exactly when g = f^-1 has g(unit2) = unit1
+    # and the preimage g^-1(N1) is N2
+    autos = [g for g in p1.group.automorphisms() if g.images[p2.unit_index] == p1.unit_index]
+    target = _nullset_row(p2.nullset, p2.hex_table.size)
+    return bool((_preimages(p1, autos) == target).all(axis=1).any())

@@ -252,17 +252,6 @@ def is_hyperfield_fast(pasture: Pasture) -> bool:
     return True
 
 
-def _permute_mask(mask: int, perm) -> int:
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << perm[i]
-        mask >>= 1
-        i += 1
-    return out
-
-
 def _check_oracle_order(n: int) -> None:
     if n > ORACLE_ORDER_CAP:
         raise CapacityError(f"addition table capped at group order {ORACLE_ORDER_CAP}, "
@@ -349,18 +338,11 @@ def is_4full(pasture: Pasture) -> bool:
         return False
     _check_oracle_order(g.order)
     table = reconstruct_addition(pasture)
-    b = table.masks
-    neg = table.carrier_negation
-    n = g.order
-    negated = [[_permute_mask(b[c][d], neg) for d in range(n + 1)] for c in range(n + 1)]
-    # translation-normalized: a = 1; need s in 1+b with -s in c+d
-    for bb in range(1, n + 1):
-        row = b[1][bb]
-        for cc in range(1, n + 1):
-            for dd in range(1, n + 1):
-                if not row & negated[cc][dd]:
-                    return False
-    return True
+    neg = np.array(table.carrier_negation)
+    # member[c, d, s]: is s in c + d
+    member = (np.array(table.masks)[..., None] >> np.arange(table.carrier_size)) & 1 == 1
+    # translation-normalized: a = 1; for all b, c, d != 0 some s in 1 + b has -s in c + d
+    return bool((member[1, 1:, None, None] & member[None, 1:, 1:][..., neg]).any(-1).all())
 
 
 def is_zero_over_zero(pasture: Pasture) -> bool:

@@ -198,6 +198,24 @@ def test_star_decomposition_on_batch():
             assert (star[hyper] == both[hyper]).all(), (g.literal, unit.index)
 
 
+def test_star_implies_hyperfield_on_every_unit():
+    # star does not read the unit; condition B is star on the pairs
+    # (x, unit*z) and (unit*y, w), and condition A follows from star
+    for g in abelian_groups_up_to(8):
+        width = build_table(g).size
+        counts = set()
+        for unit in g.units_of_order_le_2():
+            kernels = kernels_for(g, unit.index)
+            stars = 0
+            for lo in range(0, 1 << width, 4096):
+                bits = ints_to_bits(np.arange(lo, min(lo + 4096, 1 << width)), width)
+                star = kernels.satisfies_star(bits)
+                assert kernels.is_hyperfield(bits[star]).all(), (g.literal, unit.index, lo)
+                stars += int(star.sum())
+            counts.add(stars)
+        assert len(counts) == 1, (g.literal, counts)
+
+
 def test_kernel_verdicts_past_oracle_pinned():
     # no oracle reaches these orders, so the verdicts are pinned instead
     digest = hashlib.sha256()
