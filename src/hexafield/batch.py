@@ -84,12 +84,6 @@ class Kernels:
         # the pair (u, v) is the triple (u, v, 1), and (tu, tv) is (u, v, t^-1)
         return build_table(self.group).triple_to_hex
 
-    @cached_property
-    def _upper(self) -> np.ndarray:
-        # [x, y, 1]: y >= x
-        n = self.group.order
-        return np.triu(np.ones((n, n), dtype=bool))[:, :, None]
-
     @property
     def n_hex(self) -> int:
         return build_table(self.group).size
@@ -109,59 +103,34 @@ class Kernels:
     # -- fast hyperfield check --------------------------------------------
 
     def is_hyperfield(self, ns: np.ndarray) -> np.ndarray:
-        """Condition A on every row, then condition B one x at a time.
+        """Condition A on every row, then condition B as one symmetric test.
 
         B asks that any two distinct selected pairs (x, y) and (z, w) have
-        some t with hex(x, unit*z, t) and hex(unit*y, w, t) selected.  The
-        maps (x, y, z, w) -> (z, w, x, y) and -> (y, x, w, z) fix B, its
-        premise and distinctness, so every orbit of that Klein group has a
-        member whose x is least, and block x needs only y, z, w >= x.  It
-        checks an (m, m, m) block, m = n - x, in slabs (`_all_slabs`) for the
-        rows still alive that select some (x, y); a row leaves as soon as one
-        block shows a violation.
-
-        The premises are folded into the words: L[z, w] = P[x, unit*z] where
-        (z, w) is selected and R[y, w] = P[unit*y, w] where (x, y) is, all
-        ones elsewhere, so a slab is one `&` and one `min`.  That needs
-        nonzero words.  After A, P[a, b] is zero only at b = unit*a, and
-        then for every a at once, exactly when 1 + unit is empty.  On such
-        field-like rows the words P[a, unit*a] are set to all ones, and the
-        tuples that read them (z = x, or w = y) are decided first.
+        some t with hex(x, unit*z, t) and hex(unit*y, w, t) selected.
+        Scaling all four coordinates by s rotates both words P[x, unit*z]
+        and P[unit*y, w] by the same permutation of t, so every violation
+        has a copy with x = 1, and that copy's premises hold for some s iff
+        P[1, y] & P[z, w] != 0, since the pair (s, sy) is the triple
+        (1, y, s^-1).  With Z = unit*z, c[Z] = P[1, Z], Q[y, w] =
+        P[unit*y, w] and M[Z, y, w] = (c[Z] & Q[y, w]) != 0, the violation
+        word is M[Z, y, w] and the premise word P[1, y] & P[unit*Z, w] is
+        M[y, Z, w].  So B fails iff some (Z, y, w) other than (unit, y, y),
+        the two equal pairs, has M[y, Z, w] and not M[Z, y, w].  M is built
+        in slabs of whole w that hold at most _BLOCK_ELEMENTS bytes of words
+        (or one w), each with its own gather of Q, a view when unit = 1.
         """
         n, u, em = self.group.order, self.unit_index, self._em
         sums = self._sums(ns)
-        sel = (sums & 1).astype(bool)  # [x, y, s]: bit 0, t = 1, is the pair (x, y)
-        keep = np.arange(n) != u
-        ok = sel.any(axis=1)[keep].all(axis=0)
-        own = sel & self._upper  # [x, y, s]: (x, y) selected, y >= x
-        flat = np.flatnonzero(ok & (sums[0, u] == 0))  # field-like rows
-        if len(flat):
-            # z = x: no two pairs (x, y), (x, w); w = y: no (z, y) with z > x
-            f, later = own[:, :, flat], np.zeros_like(sel[:, :, flat])
-            np.logical_or.accumulate(sel[:0:-1, :, flat], axis=0, out=later[-2::-1])
-            ok[flat] = (f.sum(axis=1) < 2).all(axis=0) & ~(f & later).any(axis=(0, 1))
-            sums[np.arange(n)[:, None], em[:, None], flat] = ~sums.dtype.type(0)
-        pe = sums[em] if u else sums  # [y, w] = P[unit*y, w] = P[w, unit*y]
-        pairs = own.any(axis=1)
-        for x in range(n):
-            rows = np.flatnonzero(ok & pairs[x])
-            if len(rows) == 0:
-                continue
-            # premise masks: all ones where (z, w), or for right (x, y), is not selected
-            left = np.subtract(sel[x:, x:].take(rows, axis=2), 1, dtype=sums.dtype)
-            right = pe[x:, x:].take(rows, axis=2)  # [y, w, a]
-            right |= left[0, :, None]
-            left |= pe[x:, x].take(rows, axis=1)[:, None]  # [z, w, a]: P[x, unit*z]
-            diag = np.arange(n - x)
-
-            def unpaired(t, i, k):  # (z, w) = (x, y)
-                if i == 0:
-                    y = diag[k:k + t.shape[1]]
-                    t[0, y - k, y] = ~t.dtype.type(0)
-
-            # [z, y, w, a]: some t has hex(x, unit*z, t) and hex(unit*y, w, t),
-            # or a premise fails
-            ok[rows] = _all_slabs(left[:, None], right[None], unpaired)
+        ok = (sums & 1).any(axis=1)[np.arange(n) != u].all(axis=0)  # bit 0, t = 1: the pairs
+        c = sums[0, :, None, None]  # [Z, y, w, s]
+        dw = max(1, _BLOCK_ELEMENTS // max(1, sums.nbytes))  # one w is n^2 words per row
+        for w in range(0, n, dw):
+            q = sums[em, w:w + dw] if u else sums[:, w:w + dw]  # [y, w, s]
+            m = (c & q) != 0
+            bad = m.transpose(1, 0, 2, 3) > m
+            diag = np.arange(bad.shape[2])
+            bad[u, w + diag, diag] = False
+            ok &= ~bad.any(axis=(0, 1, 2))
         return ok
 
     # -- brute-force axiom oracle -----------------------------------------
