@@ -25,7 +25,7 @@ from .pastures import _axioms_hold
 # one slab of a kernel's 4-axis tensor holds at most this many elements of
 # uint8 words, and proportionally fewer of wider words: 1 MiB, which stays in
 # cache between the slab's `&` and its `min`, unless one (i, k) pair alone
-# holds more
+# holds more.  A condition B slab counts its two bool arrays too.
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -116,14 +116,16 @@ class Kernels:
         word is M[Z, y, w] and the premise word P[1, y] & P[unit*Z, w] is
         M[y, Z, w].  So B fails iff some (Z, y, w) other than (unit, y, y),
         the two equal pairs, has M[y, Z, w] and not M[Z, y, w].  M is built
-        in slabs of whole w that hold at most _BLOCK_ELEMENTS bytes of words
-        (or one w), each with its own gather of Q, a view when unit = 1.
+        in slabs of whole w whose words, M and comparison hold at most
+        _BLOCK_ELEMENTS bytes (or one w), each with its own gather of Q, a
+        view when unit = 1.
         """
         n, u, em = self.group.order, self.unit_index, self._em
         sums = self._sums(ns)
         ok = (sums & 1).any(axis=1)[np.arange(n) != u].all(axis=0)  # bit 0, t = 1: the pairs
         c = sums[0, :, None, None]  # [Z, y, w, s]
-        dw = max(1, _BLOCK_ELEMENTS // max(1, sums.nbytes))  # one w is n^2 words per row
+        per_w = n * n * len(ns) * (sums.itemsize + 2)  # per row: n^2 words, then M and bad
+        dw = max(1, _BLOCK_ELEMENTS // max(1, per_w))
         for w in range(0, n, dw):
             q = sums[em, w:w + dw] if u else sums[:, w:w + dw]  # [y, w, s]
             m = (c & q) != 0

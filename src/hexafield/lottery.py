@@ -24,8 +24,8 @@ LOTTERY_SAMPLE_CAP = 2**30  # 262,144 chunks of 4096 samples
 # Chunk budget of is_hyperfield / is_field, sized on n^4 * 4 bytes per sample.
 # The kernel holds the packed sums, n^2 words per row of at most 2 bytes up to
 # n = 16, plus one more such array while it builds them, and tests condition B
-# in slabs of at most batch._BLOCK_ELEMENTS bytes of words (one w, n^2 words
-# and 2 n^2 bools per row, when a chunk is wider than that), so the budget is
+# in slabs of at most batch._BLOCK_ELEMENTS bytes (one w, n^2 words and 2 n^2
+# bools per row, when a chunk is wider than that), so the budget is
 # conservative by a factor of more than n.
 LOTTERY_TENSOR_BYTES = 2**30
 ORACLE_SUBSAMPLE = 100  # every 100th orbit representative is re-checked against the oracle

@@ -267,8 +267,8 @@ def test_kernels_accept_zero_rows():
     pytest.param("Z33", name, 16 << 20, id=name)
     for name in ["is_hyperfield", "satisfies_star", "is_4full"]
 ] + [
-    # the packed sums of 256 Z64 rows take 8 MiB and their build twice that
-    # for a moment; per-block premise arrays took this call to 41 MiB
+    # the packed sums of 256 Z64 rows take 8 MiB, and building them, or one
+    # condition B slab, takes about as much again for a moment
     pytest.param("Z64", "is_hyperfield", 24 << 20, id="Z64-is_hyperfield"),
 ])
 def test_kernel_peak_bytes_bounded(lit, name, bound):
@@ -288,10 +288,10 @@ def test_kernel_peak_bytes_bounded(lit, name, bound):
 
 
 def test_one_index_slabs_match_the_default(monkeypatch):
-    # the pinned digests fit one slab per call; one index per slab puts each
-    # w of condition B in a slab of its own, with its excluded tuple
-    # (unit, w, w).  Every nullset of Z8 and Z2xZ4 is used: on Z2xZ4 some
-    # rows fail condition B at one w only.
+    # one index per slab puts each (i, k) of star and 4-full, and each w of
+    # condition B with its excluded tuple (unit, w, w), in a slab of its own.
+    # Every nullset of Z8 and Z2xZ4 is used: on Z2xZ4 some rows fail
+    # condition B at one w only.
     names = ["is_hyperfield", "satisfies_star", "is_4full"]
     cases = []
     for lit in ["Z8", "Z2xZ4", "Z9", "Z13"]:
