@@ -188,15 +188,19 @@ class Kernels:
 
     @cached_property
     def nontrivial_hex_perms(self) -> np.ndarray:
-        return hexagon_permutations(build_table(self.group), [
-            f.images for f in automorphisms_fixing(self.group, self.unit_index)
-            if not f.is_identity])
+        autos = automorphisms_fixing(self.group, self.unit_index)
+        return hexagon_permutations(build_table(self.group),
+                                    autos[(autos != np.arange(self.group.order)).any(axis=1)])
 
     def has_nontrivial_automorphism(self, ns: np.ndarray) -> np.ndarray:
-        perms = self.nontrivial_hex_perms
+        # compare 16 columns spread over the hexagons first (automorphisms fix
+        # many low ones), then whole rows only where those agree
+        cols = np.linspace(0, self.n_hex - 1, 16).astype(np.int64)
+        head = ns[:, cols]
         out = np.zeros(len(ns), dtype=bool)
-        for perm in perms:
-            out |= (ns == ns[:, perm]).all(axis=1)
+        for perm in self.nontrivial_hex_perms:
+            live = np.flatnonzero((head == ns[:, perm[cols]]).all(axis=1))
+            out[live] |= (ns[live] == ns[live][:, perm]).all(axis=1)
         return out
 
     def event(self, name: str, ns: np.ndarray) -> np.ndarray:

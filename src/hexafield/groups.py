@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import CapacityError
 
-AUTOMORPHISM_ORDER_CAP = 16
+# candidate generator tuples times group order that automorphism enumeration
+# may take on; the tuples bound |Aut|, so this also bounds the image array
+AUTOMORPHISM_WORK_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -182,10 +184,8 @@ class AbelianGroup:
     # -- automorphisms -----------------------------------------------------
 
     def automorphisms(self) -> tuple["GroupAutomorphism", ...]:
-        if self.order > AUTOMORPHISM_ORDER_CAP:
-            raise CapacityError(f"automorphism enumeration capped at order "
-                                f"{AUTOMORPHISM_ORDER_CAP}, {self.literal} has order {self.order}")
-        return _automorphisms(self)
+        """Views of the cached automorphism image array, in its row order."""
+        return tuple(GroupAutomorphism(self, tuple(row)) for row in _automorphisms(self).tolist())
 
     def __hash__(self):
         return hash(self.invariant_factors)
@@ -232,14 +232,18 @@ class GroupElement:
 
 
 def _check_multiplicative(images, src: AbelianGroup, dst: AbelianGroup) -> None:
-    """Raise unless the image table is a multiplicative map src -> dst."""
-    if len(images) != src.order:
+    """Raise unless every row of images is a multiplicative map src -> dst.
+
+    Checks f(g b) = f(g) f(b) for every b and every g among the standard
+    generators and 1; g = 1 forces f(1) = 1, and induction on word length
+    then gives f(a b) = f(a) f(b) for every a."""
+    images = np.asarray(images, dtype=np.int64)
+    if images.shape[-1:] != (src.order,):
         raise ValueError("image table must list an image for every source element")
-    ms, md = src.mul_array, dst.mul_array
-    for a in range(src.order):
-        for b in range(a, src.order):
-            if images[int(ms[a, b])] != int(md[images[a], images[b]]):
-                raise ValueError("image table is not multiplicative")
+    gens = np.append(src._weights, 0)  # index of the i-th standard generator, then 1
+    lhs = images[..., src.mul_array[gens]]
+    if (lhs != dst.mul_array[images[..., gens, None], images[..., None, :]]).any():
+        raise ValueError("image table is not multiplicative")
 
 
 @dataclass(frozen=True)
@@ -259,9 +263,6 @@ class GroupAutomorphism:
     def is_identity(self) -> bool:
         return all(i == j for j, i in enumerate(self.images))
 
-    def apply_index(self, index: int) -> int:
-        return self.images[index]
-
     def __call__(self, g: GroupElement) -> GroupElement:
         if g.group != self.group:
             raise ValueError("element belongs to a different group")
@@ -274,45 +275,37 @@ class GroupAutomorphism:
         return GroupAutomorphism(self.group, tuple(self.images[i] for i in other.images))
 
     def inverse(self) -> "GroupAutomorphism":
-        inv_images = [0] * len(self.images)
-        for j, i in enumerate(self.images):
-            inv_images[i] = j
-        return GroupAutomorphism(self.group, tuple(inv_images))
-
-    @classmethod
-    def identity(cls, group: AbelianGroup) -> "GroupAutomorphism":
-        return cls(group, tuple(range(group.order)))
+        return GroupAutomorphism(self.group, tuple(np.argsort(self.images).tolist()))
 
 
 @lru_cache(maxsize=None)
-def _automorphisms(group: AbelianGroup) -> tuple[GroupAutomorphism, ...]:
+def _automorphisms(group: AbelianGroup) -> np.ndarray:
+    """Read-only (|Aut|, n) int64 array; row j is the image table of the j-th
+    automorphism, ordered as itertools.product orders its generator images."""
     n = group.order
-    if n == 1:
-        return (GroupAutomorphism(group, (0,)),)
-    dims = np.array(group.invariant_factors, dtype=np.int64)
-    res = group.residue_matrix
-    weights = group._weights
     # an automorphism sends the i-th standard generator to an element of
-    # order exactly d_i; distinct images are necessary for injectivity
-    candidates = [
-        [j for j in range(n) if group.element_order(j) == d]
-        for d in group.invariant_factors
-    ]
-    out = []
-    for gens in itertools.product(*candidates):
-        if len(set(gens)) != len(gens):
-            continue
-        gen_rows = res[list(gens)]  # (rank, rank)
-        imaged = (res @ gen_rows) % dims
-        table = imaged @ weights
-        if len(np.unique(table)) == n:
-            out.append(GroupAutomorphism(group, tuple(int(i) for i in table)))
-    return tuple(out)
+    # order exactly d_i
+    candidates = [[j for j in range(n) if group.element_order(j) == d]
+                  for d in group.invariant_factors]
+    tuples = prod(len(c) for c in candidates)
+    if tuples * n > AUTOMORPHISM_WORK_CAP:
+        raise CapacityError(f"automorphisms of {group.literal} would take {tuples} generator "
+                            f"tuples x {n} elements; cap is {AUTOMORPHISM_WORK_CAP}")
+    gen_images = np.array(list(itertools.product(*candidates)), dtype=np.int64)
+    res = group.residue_matrix
+    imaged = res @ res[gen_images]  # (tuples, n, rank)
+    imaged %= np.array(group.invariant_factors, dtype=np.int64)
+    tables = imaged @ group._weights
+    tables = tables[(np.sort(tables, axis=1) == np.arange(n)).all(axis=1)]
+    _check_multiplicative(tables, group, group)
+    tables.flags.writeable = False
+    return tables
 
 
-def automorphisms_fixing(group: AbelianGroup, unit_index: int) -> tuple[GroupAutomorphism, ...]:
-    """Automorphisms with f(unit) = unit."""
-    return tuple(f for f in group.automorphisms() if f.images[unit_index] == unit_index)
+def automorphisms_fixing(group: AbelianGroup, unit_index: int) -> np.ndarray:
+    """Rows of the automorphism image array with f(unit) = unit."""
+    autos = _automorphisms(group)
+    return autos[autos[:, unit_index] == unit_index]
 
 
 def abelian_groups_up_to(max_order: int) -> tuple[AbelianGroup, ...]:

@@ -7,7 +7,7 @@ automorphisms, so two pastures on the same (group, unit) are isomorphic
 exactly when their canonical forms coincide.  Canonical forms, pasture
 automorphisms, isomorphism and the batch kernels' symmetry event all read
 one (automorphisms x hexagons) matrix, `hexagon_permutations`, gathered
-from the group's automorphism image tables and the hexagon table.
+from the group's cached automorphism image array and the hexagon table.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (AbelianGroup, GroupAutomorphism, _check_multiplicative,
-                     automorphisms_fixing)
+from .groups import (AbelianGroup, GroupAutomorphism, _automorphisms,
+                     _check_multiplicative, automorphisms_fixing)
 from .hexagons import HexagonTable
 from .pastures import Pasture, _nullset_row
 
@@ -52,19 +52,18 @@ def hexagon_permutations(table: HexagonTable, images) -> np.ndarray:
     return table.pair_to_hex[images[:, ru], images[:, rv]]
 
 
-def _preimages(pasture: Pasture, automorphisms) -> np.ndarray:
-    """(k, hexagons) bool: row i is f_i^-1(nullset)."""
+def _preimages(pasture: Pasture, images: np.ndarray) -> np.ndarray:
+    """(k, hexagons) bool: row i is f_i^-1(nullset) for the image table images[i]."""
     table = pasture.hex_table
-    perms = hexagon_permutations(table, [f.images for f in automorphisms])
-    return _nullset_row(pasture.nullset, table.size)[0][perms]
+    return _nullset_row(pasture.nullset, table.size)[0][hexagon_permutations(table, images)]
 
 
 def pasture_automorphisms(pasture: Pasture) -> tuple[GroupAutomorphism, ...]:
     """Unit-preserving group automorphisms that fix the nullset."""
     autos = automorphisms_fixing(pasture.group, pasture.unit_index)
     row = _nullset_row(pasture.nullset, pasture.hex_table.size)
-    fixed = (_preimages(pasture, autos) == row).all(axis=1)
-    return tuple(f for f, keep in zip(autos, fixed) if keep)
+    fixed = autos[(_preimages(pasture, autos) == row).all(axis=1)]
+    return tuple(GroupAutomorphism(pasture.group, tuple(f)) for f in fixed.tolist())
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,7 @@ def are_isomorphic(p1: Pasture, p2: Pasture) -> bool:
         return False
     # f(unit1) = unit2 and f(N1) = N2 exactly when g = f^-1 has g(unit2) = unit1
     # and the preimage g^-1(N1) is N2
-    autos = [g for g in p1.group.automorphisms() if g.images[p2.unit_index] == p1.unit_index]
+    autos = _automorphisms(p1.group)
+    autos = autos[autos[:, p2.unit_index] == p1.unit_index]
     target = _nullset_row(p2.nullset, p2.hex_table.size)
     return bool((_preimages(p1, autos) == target).all(axis=1).any())

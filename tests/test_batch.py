@@ -263,6 +263,27 @@ def test_kernels_accept_zero_rows():
             assert got.shape == (0,) and got.dtype == bool, (lit, name)
 
 
+def test_nontrivial_automorphism_matches_whole_rows():
+    # rows made symmetric under one involution, some with one bit flipped
+    # afterwards, so the first columns compared often agree on the way
+    rng = np.random.default_rng(17)
+    g = AbelianGroup.from_literal("Z2xZ32")
+    width = build_table(g).size
+    for unit in g.units_of_order_le_2():
+        kernels = kernels_for(g, unit.index)
+        perms = kernels.nontrivial_hex_perms
+        involutions = perms[(np.take_along_axis(perms, perms, axis=1) == np.arange(width)).all(axis=1)]
+        ns = rng.random((300, width)) < 0.5
+        sym = ns | ns[np.arange(300)[:, None], involutions[rng.integers(len(involutions), size=300)]]
+        flipped = sym.copy()
+        flipped[np.arange(300), rng.integers(width, size=300)] ^= True
+        rows = np.vstack([ns, sym, flipped, np.ones((1, width), dtype=bool)])
+        want = (rows[:, None, :] == rows[:, perms]).all(axis=2).any(axis=1)
+        assert want[300:600].all() and want[-1] and not want[:300].any()
+        assert 0 < want[600:900].sum() < 300
+        assert (kernels.has_nontrivial_automorphism(rows) == want).all(), unit
+
+
 @pytest.mark.parametrize("lit, name, bound", [
     pytest.param("Z33", name, 16 << 20, id=name)
     for name in ["is_hyperfield", "satisfies_star", "is_4full"]

@@ -105,6 +105,16 @@ def test_lottery_over_sample_cap_exits_2(monkeypatch):
                   "--samples", "1073741825") == (2, "")
 
 
+def test_lottery_auto_past_order_16():
+    for lit in ["Z32", "Z64", "Z2xZ32", "Z8xZ8"]:
+        code, text = invoke("lottery", "--group", lit, "--event", "auto", "--samples", "256")
+        assert code == 0, lit
+        assert json.loads(text)["samples"] == 256
+    # Z2^5 would try 31^5 generator tuples; refused before any is built
+    assert invoke("lottery", "--group", "Z2xZ2xZ2xZ2xZ2", "--event", "auto",
+                  "--samples", "256") == (2, "")
+
+
 def test_lottery_alias_matches_full_name():
     assert invoke("lottery", "--group", "Z2", "--eps", "1", "--event", "star",
                   "--samples", "500") == \
