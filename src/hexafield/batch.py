@@ -10,7 +10,6 @@ every row count, so the scalar and skew oracles run the same code.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -22,44 +21,10 @@ from .morphisms import hexagon_permutations
 from .pastures import _axioms_hold
 
 
-# one slab of a kernel's 4-axis tensor holds at most this many elements of
-# uint8 words, and proportionally fewer of wider words: 1 MiB, which stays in
-# cache between the slab's `&` and its `min`, unless one (i, k) pair alone
-# holds more.  A condition B slab counts its two bool arrays too.
+# one slab of the kernels' block holds at most this many bytes of words, and
+# of bools for condition B: 1 MiB, which stays in cache between the slab's `&`
+# and its reduction
 _BLOCK_ELEMENTS = 1 << 20
-
-
-def _all_slabs(a: np.ndarray, b: np.ndarray, fix=None) -> np.ndarray:
-    """Per-row test that every word of a & b is nonzero.
-
-    a and b broadcast to [i, k, ..., rows], a with one k.  The test runs in
-    slabs t = a[i:i + di] & b[:, k:k + dk] that share one buffer: whole
-    indices i while they fit in _BLOCK_ELEMENTS bytes, else one i split
-    along k, down to one (i, k) when that alone is more.  fix(t, i, k) may
-    set words of a slab to all ones first.
-    """
-    lead, mid, *rest = np.broadcast(a, b).shape
-    per = math.prod(rest)
-    if per == 0:
-        return np.ones(0, dtype=bool)  # no rows
-    fit = max(1, _BLOCK_ELEMENTS // (per * a.itemsize))  # (i, k) pairs per slab
-    di, dk = (min(lead, fit // mid), mid) if fit >= mid else (1, fit)
-    axes = tuple(range(len(rest) + 1))  # all but the rows
-    buf = ok = None
-    for i in range(0, lead, di):
-        for k in range(0, mid, dk):
-            ai, bk = a[i:i + di], b[:, k:k + dk]
-            if buf is None:
-                t = buf = ai & bk
-            else:
-                t = np.bitwise_and(ai, bk, out=buf[:len(ai), :bk.shape[1]])
-            if fix is not None:
-                fix(t, i, k)
-            if ok is None:
-                ok = t.min(axis=axes) != 0
-            else:
-                ok &= t.min(axis=axes) != 0
-    return ok
 
 
 @dataclass(frozen=True)
@@ -100,38 +65,69 @@ class Kernels:
             out |= cols[self._hid3[:, :, t]] << word.type(t)
         return out
 
-    # -- fast hyperfield check --------------------------------------------
+    # -- one block, three kernels -----------------------------------------
+
+    def _blocks(self, sums: np.ndarray, planes: bool = False):
+        """Yield (a0, w0, t), t[a, b, w, s] = P[1, a0 + a] & P[b, w0 + w].
+
+        P is `_sums(ns)`.  Every word kernel reads this one block,
+        M[a, b, w] = t != 0.  Scaling all the coordinates of a test by s
+        rotates both of its words by the same permutation of t, and the
+        pair (s, sa) is the triple (1, a, s^-1), so every test has a copy
+        whose first word is P[1, a]:
+        - star: for all (a, b, c) some u has hex(u, ua) and hex(ub, uc)
+          selected, so star holds iff M is true everywhere.
+        - 4-full: for all (b, c, d) but b = unit, c = unit*d, some t has
+          hex(1, b, unit*t) and hex(c, d, t) selected.  Scaled by the unit
+          that is M at every (a, b, w) but (unit, unit*w, w).
+        - condition B: any two distinct selected pairs (x, y) and (z, w)
+          have some t with hex(x, unit*z, t) and hex(unit*y, w, t)
+          selected.  The copy with x = 1 has its premises for some s iff
+          P[1, y] & P[z, w] != 0.  With Z = unit*z and M_e[Z, y, w] =
+          M[Z, unit*y, w], the violation word is M_e[Z, y, w] and the
+          premise word is M_e[y, Z, w].  So B fails iff some (Z, y, w)
+          other than (unit, y, y), the two equal pairs, has M_e[y, Z, w]
+          and not M_e[Z, y, w].  That is 4-full's diagonal, so a 4-full
+          nullset passes B.
+        The slabs share one buffer of at most _BLOCK_ELEMENTS bytes of
+        words.  Star and 4-full slabs hold whole (b, w) planes for as many
+        a as fit, else one w split along a, down to one (a, w) when that
+        alone is more.  `planes` keeps whole (a, b) planes for condition
+        B's transpose: as many w as fit with the two bool arrays per entry
+        counted, or one w when that alone is more.
+        """
+        n, rows = sums.shape[1:]
+        if planes:  # whole (a, b) planes, whose two bool arrays count too
+            da, dw = n, _BLOCK_ELEMENTS // max(1, n * n * rows * (sums.itemsize + 2))
+        else:  # whole (b, w) planes, else one w split along a
+            fit = _BLOCK_ELEMENTS // max(1, n * rows * sums.itemsize)  # (a, w) lines
+            da, dw = (fit // n, n) if fit >= n else (fit, 1)
+        da, dw = min(n, max(1, da)), min(n, max(1, dw))
+        buf = np.empty((da, n, dw, rows), dtype=sums.dtype)
+        c = sums[0, :, None, None]
+        for w0 in range(0, n, dw):
+            # hexagons are closed under swapping a pair, so P is symmetric and
+            # one w reads the contiguous row P[w]
+            q = sums[:, w0:w0 + dw] if dw > 1 else sums[w0, :, None]
+            for a0 in range(0, n, da):
+                ca = c[a0:a0 + da]
+                full = len(ca) == da and q.shape[1] == dw  # only the last a or w may be short
+                t = buf if full else buf[:len(ca), :, :q.shape[1]]
+                yield a0, w0, np.bitwise_and(ca, q, out=t)
 
     def is_hyperfield(self, ns: np.ndarray) -> np.ndarray:
-        """Condition A on every row, then condition B as one symmetric test.
-
-        B asks that any two distinct selected pairs (x, y) and (z, w) have
-        some t with hex(x, unit*z, t) and hex(unit*y, w, t) selected.
-        Scaling all four coordinates by s rotates both words P[x, unit*z]
-        and P[unit*y, w] by the same permutation of t, so every violation
-        has a copy with x = 1, and that copy's premises hold for some s iff
-        P[1, y] & P[z, w] != 0, since the pair (s, sy) is the triple
-        (1, y, s^-1).  With Z = unit*z, c[Z] = P[1, Z], Q[y, w] =
-        P[unit*y, w] and M[Z, y, w] = (c[Z] & Q[y, w]) != 0, the violation
-        word is M[Z, y, w] and the premise word P[1, y] & P[unit*Z, w] is
-        M[y, Z, w].  So B fails iff some (Z, y, w) other than (unit, y, y),
-        the two equal pairs, has M[y, Z, w] and not M[Z, y, w].  M is built
-        in slabs of whole w whose words, M and comparison hold at most
-        _BLOCK_ELEMENTS bytes (or one w), each with its own gather of Q, a
-        view when unit = 1.
-        """
+        """Condition A on every row, then condition B (see `_blocks`) as one
+        transposed comparison per slab of whole (a, b) planes."""
         n, u, em = self.group.order, self.unit_index, self._em
         sums = self._sums(ns)
         ok = (sums & 1).any(axis=1)[np.arange(n) != u].all(axis=0)  # bit 0, t = 1: the pairs
-        c = sums[0, :, None, None]  # [Z, y, w, s]
-        per_w = n * n * len(ns) * (sums.itemsize + 2)  # per row: n^2 words, then M and bad
-        dw = max(1, _BLOCK_ELEMENTS // max(1, per_w))
-        for w in range(0, n, dw):
-            q = sums[em, w:w + dw] if u else sums[:, w:w + dw]  # [y, w, s]
-            m = (c & q) != 0
+        for _, w0, t in self._blocks(sums, planes=True):
+            m = t != 0
+            if u:
+                m = m[:, em]  # M_e
             bad = m.transpose(1, 0, 2, 3) > m
-            diag = np.arange(bad.shape[2])
-            bad[u, w + diag, diag] = False
+            diag = np.arange(t.shape[2])
+            bad[u, w0 + diag, diag] = False
             ok &= ~bad.any(axis=(0, 1, 2))
         return ok
 
@@ -143,22 +139,19 @@ class Kernels:
     # -- star, 4-full, 0/0, field -----------------------------------------
 
     def satisfies_star(self, ns: np.ndarray) -> np.ndarray:
-        # some u has hex(u, u a) and hex(u b, u c): triples (1, a, t), (b, c, t), t = u^-1
-        sums = self._sums(ns)
-        return _all_slabs(sums[0, :, None, None], sums[None])  # [a, b, c, s]
+        ok = True
+        for _, _, t in self._blocks(self._sums(ns)):
+            ok = ok & (t.min(axis=(0, 1, 2)) != 0)
+        return ok
 
     def is_4full(self, ns: np.ndarray) -> np.ndarray:
-        # some t has hex(1, b, unit*t) = hex(unit, unit*b, t) and hex(c, d, t),
-        # unless b = unit and c = unit*d
         n, u, em = self.group.order, self.unit_index, self._em
-        sums = self._sums(ns)
-
-        def excluded(t, i, k):  # [b, c, d, s]; c = unit*d
-            if i <= u < i + len(t):
-                c = np.arange(k, k + t.shape[1])
-                t[u - i, c - k, em[c]] = ~sums.dtype.type(0)
-
-        ok = _all_slabs(sums[u, em, None, None], sums[None], excluded)
+        ok = True
+        for a0, w0, t in self._blocks(self._sums(ns)):
+            if a0 <= u < a0 + len(t):
+                w = np.arange(t.shape[2])
+                t[u - a0, em[w0 + w], w] = ~t.dtype.type(0)  # the excluded (unit, unit*w, w)
+            ok = ok & (t.min(axis=(0, 1, 2)) != 0)
         if n == 1:
             ok &= ns.any(axis=1)  # F2 is excluded by definition
         return ok

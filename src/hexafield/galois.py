@@ -7,11 +7,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .batch import kernels_for
 from .errors import CapacityError
 from .groups import AbelianGroup
 from .hexagons import build_table
 from .morphisms import are_isomorphic
-from .pastures import Pasture, is_hyperfield_fast
+from .pastures import Pasture, _nullset_row
 
 FIELD_SIZE_CAP = 10 ** 6
 DECIDER_ORDER_CAP = 9
@@ -244,7 +245,7 @@ def quotient_hyperfield(spec: QuotientSpec) -> Pasture:
             bits |= 1 << h
     eps = group.element_by_index(int(cls[fld.neg_one]))
     pasture = Pasture(group, eps, bits)
-    if not is_hyperfield_fast(pasture):
+    if not kernels_for(group, eps.index).is_hyperfield(_nullset_row(bits, table.size))[0]:
         raise AssertionError("a finite-field quotient must be a hyperfield")
     return pasture
 

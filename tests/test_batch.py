@@ -216,6 +216,23 @@ def test_star_implies_hyperfield_on_every_unit():
         assert len(counts) == 1, (g.literal, counts)
 
 
+def test_4full_implies_hyperfield_on_every_unit():
+    # 4-full leaves no false entry of the block off (unit, y, y), the
+    # diagonal that condition B clears, so condition B cannot fail
+    fours = exceptions = hyper_not_4full = 0
+    for g in abelian_groups_up_to(8):
+        width = build_table(g).size
+        for unit in g.units_of_order_le_2():
+            kernels = kernels_for(g, unit.index)
+            for lo in range(0, 1 << width, 4096):
+                bits = ints_to_bits(np.arange(lo, min(lo + 4096, 1 << width)), width)
+                four, hyper = kernels.is_4full(bits), kernels.is_hyperfield(bits)
+                fours += int(four.sum())
+                exceptions += int((four & ~hyper).sum())
+                hyper_not_4full += int((hyper & ~four).sum())
+    assert (fours, exceptions, hyper_not_4full) == (18426, 0, 3004)
+
+
 def test_kernel_verdicts_past_oracle_pinned():
     # no oracle reaches these orders, so the verdicts are pinned instead
     digest = hashlib.sha256()
@@ -308,8 +325,31 @@ def test_kernel_peak_bytes_bounded(lit, name, bound):
     assert peak <= bound, peak
 
 
+@pytest.mark.parametrize("lit", ["Z3", "Z9", "Z33", "Z64"])
+@pytest.mark.parametrize("rows", [1, 256, 4096])
+@pytest.mark.parametrize("planes", [False, True])
+def test_blocks_tile_the_block_within_the_budget(lit, rows, planes):
+    g = AbelianGroup.from_literal(lit)
+    n = g.order
+    kernels = kernels_for(g, 0)
+    # the slabs read only the shape and word width of the packed sums
+    word = kernels._sums(np.zeros((1, build_table(g).size), dtype=bool)).dtype
+    sums = np.broadcast_to(np.ones(1, dtype=word), (n, n, rows))
+    covered = np.zeros((n, n), dtype=np.int64)
+    per_entry = word.itemsize + 2 * planes
+    for a0, w0, t in kernels._blocks(sums, planes):
+        da, nb, dw, s = t.shape
+        assert (nb, s) == (n, rows) and t.dtype == word
+        covered[a0:a0 + da, w0:w0 + dw] += 1
+        if planes:
+            assert da == n
+        alone = (n if planes else 1) * n * rows * per_entry  # one w, or one (a, w)
+        assert t.size * per_entry <= max(batch._BLOCK_ELEMENTS, alone), (a0, w0, t.shape)
+    assert (covered == 1).all()
+
+
 def test_one_index_slabs_match_the_default(monkeypatch):
-    # one index per slab puts each (i, k) of star and 4-full, and each w of
+    # one index per slab puts each (a, w) of star and 4-full, and each w of
     # condition B with its excluded tuple (unit, w, w), in a slab of its own.
     # Every nullset of Z8 and Z2xZ4 is used: on Z2xZ4 some rows fail
     # condition B at one w only.
