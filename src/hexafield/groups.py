@@ -184,7 +184,11 @@ class AbelianGroup:
     # -- automorphisms -----------------------------------------------------
 
     def automorphisms(self) -> tuple["GroupAutomorphism", ...]:
-        """Views of the cached automorphism image array, in its row order."""
+        """Views of the automorphism image array, in row order, built once per group object."""
+        return self._automorphism_views
+
+    @cached_property
+    def _automorphism_views(self) -> tuple["GroupAutomorphism", ...]:
         return tuple(GroupAutomorphism(self, tuple(row)) for row in _automorphisms(self).tolist())
 
     def __hash__(self):

@@ -2,8 +2,9 @@
 
 A pasture serializes as {"group": "Z2xZ4", "epsilon": [1, 2], "nullset":
 [[[u...], [v...]], ...]} where elements are residue vectors and the nullset
-lists one canonical pair per selected hexagon, sorted, so files compare
-bytewise across runs.  Parsers ignore unknown keys.
+lists one canonical pair per selected hexagon, in hexagon-id order, which is
+the sorted order, so files compare bytewise across runs.  Parsers ignore
+unknown keys.
 """
 
 from __future__ import annotations
@@ -21,20 +22,14 @@ def element_to_list(el: GroupElement) -> list[int]:
 
 
 def pasture_to_dict(pasture: Pasture) -> dict:
-    table = pasture.hex_table
-    g = pasture.group
-    pairs = []
-    for h in pasture.hex_ids():
-        u, v = table.reps[h]
-        pairs.append([
-            element_to_list(g.element_by_index(u)),
-            element_to_list(g.element_by_index(v)),
-        ])
-    pairs.sort()
+    # hexagon ids ascend with their least pair, and element indices with
+    # their residues, so hex_ids() order is the sorted pair order
+    res = pasture.group.residue_matrix.tolist()
+    reps = pasture.hex_table.reps
     return {
-        "group": g.literal,
+        "group": pasture.group.literal,
         "epsilon": element_to_list(pasture.unit),
-        "nullset": pairs,
+        "nullset": [[res[u], res[v]] for u, v in (reps[h] for h in pasture.hex_ids())],
     }
 
 

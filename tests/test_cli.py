@@ -6,10 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from hexafield import galois, lottery, skew
+from hexafield.batch import kernels_for
 from hexafield.cli import run
 from hexafield.galois import QuotientSpec, build_field, quotient_hyperfield
-from hexafield.pastures import Pasture, field_f3, krasner, sign_hyperfield
+from hexafield.groups import AbelianGroup
+from hexafield.hexagons import build_table
+from hexafield.pastures import ORACLE_ORDER_CAP, Pasture, field_f3, krasner, sign_hyperfield
 from hexafield.serialize import dumps_pasture, loads_pasture
 
 
@@ -269,3 +274,37 @@ def test_thread_flag_is_byte_invariant():
         one = invoke(*args, "--threads", "1")
         four = invoke(*args, "--threads", "4")
         assert one == four, args
+
+
+def cache_misses() -> dict[str, int]:
+    return {f"{name}.{attr}": obj.cache_info().misses
+            for name, mod in list(sys.modules.items()) if name.startswith("hexafield.")
+            for attr, obj in vars(mod).items() if hasattr(obj, "cache_info")}
+
+
+def test_benchmark_jobs_fill_no_cache_after_warm_up():
+    # the benchmark's rule: once the warm-up has run every predicate on a
+    # zero row (the oracle up to its order cap), its census, classify and
+    # lottery jobs miss no lru_cache
+    warm = [(AbelianGroup.from_literal(lit), unit.index) for lit in ["Z8", "Z2xZ4"]
+            for unit in AbelianGroup.from_literal(lit).units_of_order_le_2()]
+    warm += [(AbelianGroup.from_literal(lit), 0) for lit in ["Z3", "Z13"]]
+    for group, unit in warm:
+        k = kernels_for(group, unit)
+        row = np.zeros((1, build_table(group).size), dtype=bool)
+        for predicate in (k.is_hyperfield, k.satisfies_star,
+                          k.has_nontrivial_automorphism, k.is_4full,
+                          k.is_zero_over_zero, k.is_field, k.one_plus_minus_one):
+            predicate(row)
+        if group.order <= ORACLE_ORDER_CAP:
+            k.axiom_oracle(row)
+    before = cache_misses()
+    assert before
+    jobs = [(command, "--group", lit) for command, lit in
+            [("census", "Z8"), ("census", "Z2xZ4"), ("classify", "Z2xZ4")]]
+    jobs += [("lottery", "--group", lit, "--event", event, "--samples", samples, "--seed", "1")
+             for lit, event, samples in [("Z3", "star", "200000"), ("Z13", "hyperfield", "8192")]]
+    for job in jobs:
+        code, text = invoke(*job, "--threads", "2")
+        assert code == 0 and text, job
+    assert {k: v for k, v in cache_misses().items() if v != before.get(k, 0)} == {}

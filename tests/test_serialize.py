@@ -1,10 +1,14 @@
+import hashlib
+import io
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hexafield.groups import AbelianGroup
+from hexafield.cli import run
+from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
 from hexafield.lottery import Estimate, census, class_table
 from hexafield.pastures import Pasture, field_f3, krasner, sign_hyperfield
@@ -130,3 +134,48 @@ def test_classify_row():
 def test_element_to_list():
     g = AbelianGroup.from_literal("Z2xZ4")
     assert element_to_list(g.element((1, 3))) == [1, 3]
+
+
+def sorted_pairs_reference(pasture):
+    # the definition: the residue vectors of each selected hexagon's
+    # representative pair, sorted
+    g, table = pasture.group, pasture.hex_table
+    pairs = [[element_to_list(g.element_by_index(u)), element_to_list(g.element_by_index(v))]
+             for u, v in (table.reps[h] for h in pasture.hex_ids())]
+    pairs.sort()
+    return {"group": g.literal, "epsilon": element_to_list(pasture.unit), "nullset": pairs}
+
+
+def test_pasture_to_dict_matches_the_sorted_definition():
+    # seeded random nullsets of every unit of every abelian group of order <= 64
+    rng = random.Random(20)
+    for g in abelian_groups_up_to(64):
+        width = build_table(g).size
+        for unit in g.units_of_order_le_2():
+            for bits in [rng.getrandbits(width) for _ in range(3)]:
+                p = Pasture(g, unit, bits)
+                assert pasture_to_dict(p) == sorted_pairs_reference(p), (g, unit, bits)
+
+
+def test_hexagon_ids_ascend_with_their_residue_pairs():
+    # what lets pasture_to_dict skip the sort: representatives ascend with
+    # their ids, and residue vectors with their element indices
+    for g in abelian_groups_up_to(64):
+        reps = build_table(g).reps
+        assert list(reps) == sorted(reps), g
+        residues = g.residue_matrix.tolist()
+        assert residues == sorted(residues), g
+
+
+def test_classify_output_pinned_up_to_order_8():
+    # every unit of every abelian group of order <= 8: all classes up to
+    # order 7, hyperfields only at order 8
+    digest = hashlib.sha256()
+    for g in abelian_groups_up_to(8):
+        out = io.StringIO()
+        argv = ["classify", "--group", g.literal] + (["--all"] if g.order <= 7 else [])
+        assert run(argv, stdout=out) == 0
+        digest.update(f"{g.literal}\n".encode())
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == \
+        "32d13b61403b407e2cdd5bb0017157bbd2a2ca283a3b74becce84ebbd33c216a"
