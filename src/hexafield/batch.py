@@ -21,10 +21,30 @@ from .morphisms import hexagon_permutations
 from .pastures import _axioms_hold
 
 
-# one slab of the kernels' block holds at most this many bytes of words, and
-# of bools for condition B: 1 MiB, which stays in cache between the slab's `&`
-# and its reduction
-_BLOCK_ELEMENTS = 1 << 20
+# bytes in each of the four slab buffers of the kernels' block: 512 KiB, so that
+# all four stay in a 2 MiB cache between a slab's `&`, `|` and its reduction
+_BLOCK_ELEMENTS = 1 << 19
+
+
+def _packed(ns: np.ndarray) -> np.ndarray:
+    """(hexagons, K) words, K = ceil(S / 64) and at least 1: bit j of word k of
+    hexagon h is bit h of row 64k + j, and the padding bits are zero."""
+    words = np.zeros((ns.shape[1], max(1, (len(ns) + 63) // 64) * 8), dtype=np.uint8)
+    # packing along the rows of a contiguous copy is several times faster
+    words[:, :(len(ns) + 7) // 8] = np.packbits(np.ascontiguousarray(ns.T), axis=1,
+                                                bitorder="little")
+    return words.view("<u8")
+
+
+def _unpacked(words: np.ndarray, rows: int) -> np.ndarray:
+    """The first `rows` bits of K words as a bool vector, one per row."""
+    return np.unpackbits(words.view(np.uint8), count=rows, bitorder="little").view(bool)
+
+
+def _fold(op: np.ufunc, m: np.ndarray) -> np.ndarray:
+    """op over every entry of m, word by word: K words.  Folding the leading
+    axis first keeps numpy's inner loops long when K is small."""
+    return op.reduce(op.reduce(m, axis=0).reshape(-1, m.shape[-1]), axis=0)
 
 
 @dataclass(frozen=True)
@@ -53,83 +73,72 @@ class Kernels:
     def n_hex(self) -> int:
         return build_table(self.group).size
 
-    def _sums(self, ns: np.ndarray) -> np.ndarray:
-        """(n, n, S) words: bit t of [x, y, s] is set iff row s selects the
-        hexagon of the triple (x, y, t), so "some t has both hexagons
-        selected" is one `&` of two words and a test for nonzero."""
-        n = self.group.order
-        word = np.dtype(f"uint{max(8, 1 << (n - 1).bit_length())}")
-        cols = np.ascontiguousarray(ns.T, dtype=word)  # (hexagons, S): one gather per t
-        out = cols[self._hid3[:, :, 0]]
-        for t in range(1, n):
-            out |= cols[self._hid3[:, :, t]] << word.type(t)
-        return out
+    @property
+    def row_bytes(self) -> int:
+        """Bytes per row that a kernel call may hold: the bool row, its copy, and
+        one bit per row in the packed rows, their packing, condition A's pairs
+        and the four slab buffers, unless those take 4 * _BLOCK_ELEMENTS bytes."""
+        n, h = self.group.order, self.n_hex
+        return 2 * h + (2 * h + 5 * n * n + 7) // 8
 
     # -- one block, three kernels -----------------------------------------
 
-    def _blocks(self, sums: np.ndarray, planes: bool = False):
-        """Yield (a0, w0, t), t[a, b, w, s] = P[1, a0 + a] & P[b, w0 + w].
+    def _blocks(self, x: np.ndarray):
+        """Yield (w0, m, spare), m[a, b, w] = OR_t x[hex(1, a, t)] & x[hex(unit*b, w0 + w, t)].
 
-        P is `_sums(ns)`.  Every word kernel reads this one block,
-        M[a, b, w] = t != 0.  Scaling all the coordinates of a test by s
-        rotates both of its words by the same permutation of t, and the
-        pair (s, sa) is the triple (1, a, s^-1), so every test has a copy
-        whose first word is P[1, a]:
+        x is `_packed(ns)`, so an entry holds one bit per row: some t has
+        both hexagons selected.  Let M[a, b, w] be that test on hex(1, a, t)
+        and hex(b, w, t); m is a slab of M_e[a, b, w] = M[a, unit*b, w].
+        The pair (ru, rv) is the triple (u, v, r^-1), so scaling a test by r
+        only moves t, and the pair (r, ra) is the triple (1, a, r^-1), so
+        every test has a copy whose first hexagon is hex(1, a, t):
         - star: for all (a, b, c) some u has hex(u, ua) and hex(ub, uc)
-          selected, so star holds iff M is true everywhere.
+          selected, so star holds iff M, and so M_e, is true everywhere.
         - 4-full: for all (b, c, d) but b = unit, c = unit*d, some t has
           hex(1, b, unit*t) and hex(c, d, t) selected.  Scaled by the unit
-          that is M at every (a, b, w) but (unit, unit*w, w).
+          that is every entry of M_e but (unit, w, w).
         - condition B: any two distinct selected pairs (x, y) and (z, w)
           have some t with hex(x, unit*z, t) and hex(unit*y, w, t)
-          selected.  The copy with x = 1 has its premises for some s iff
-          P[1, y] & P[z, w] != 0.  With Z = unit*z and M_e[Z, y, w] =
-          M[Z, unit*y, w], the violation word is M_e[Z, y, w] and the
-          premise word is M_e[y, Z, w].  So B fails iff some (Z, y, w)
-          other than (unit, y, y), the two equal pairs, has M_e[y, Z, w]
-          and not M_e[Z, y, w].  That is 4-full's diagonal, so a 4-full
-          nullset passes B.
-        The slabs share one buffer of at most _BLOCK_ELEMENTS bytes of
-        words.  Star and 4-full slabs hold whole (b, w) planes for as many
-        a as fit, else one w split along a, down to one (a, w) when that
-        alone is more.  `planes` keeps whole (a, b) planes for condition
-        B's transpose: as many w as fit with the two bool arrays per entry
-        counted, or one w when that alone is more.
+          selected.  In the copies with x = 1 and Z = unit*z, the premises
+          are M[y, z, w] = M_e[y, Z, w] and the conclusion M_e[Z, y, w].  So
+          B fails iff some (Z, y, w) other than (unit, y, y), the two equal
+          pairs, has M_e[y, Z, w] and not M_e[Z, y, w]: 4-full's diagonal,
+          so a 4-full nullset passes B.
+        A slab holds whole (a, b) planes, for B's transpose, for as many w as
+        fit in `_BLOCK_ELEMENTS` bytes, or one w.  Four such buffers serve
+        every slab: both factors, m and `spare`, free for the reader to use.
         """
-        n, rows = sums.shape[1:]
-        if planes:  # whole (a, b) planes, whose two bool arrays count too
-            da, dw = n, _BLOCK_ELEMENTS // max(1, n * n * rows * (sums.itemsize + 2))
-        else:  # whole (b, w) planes, else one w split along a
-            fit = _BLOCK_ELEMENTS // max(1, n * rows * sums.itemsize)  # (a, w) lines
-            da, dw = (fit // n, n) if fit >= n else (fit, 1)
-        da, dw = min(n, max(1, da)), min(n, max(1, dw))
-        buf = np.empty((da, n, dw, rows), dtype=sums.dtype)
-        c = sums[0, :, None, None]
+        n, k = self.group.order, x.shape[1]
+        dw = min(n, max(1, _BLOCK_ELEMENTS // (n * n * k * x.itemsize)))
+        bufs = np.empty((4, n * n * dw * k), dtype=x.dtype)
+        # [t, a, 1, w, K]: hex(1, a, t), repeated along w so that numpy's `&`
+        # runs over whole (w, K) rows; at K = 1 it runs over (b, w) planes
+        reps = dw if k > 1 else 1
+        first = bufs[0, :n * n * reps * k].reshape(n, n, 1, reps, k)
+        first[...] = x[self._hid3[0].T][:, :, None, None]
         for w0 in range(0, n, dw):
-            # hexagons are closed under swapping a pair, so P is symmetric and
-            # one w reads the contiguous row P[w]
-            q = sums[:, w0:w0 + dw] if dw > 1 else sums[w0, :, None]
-            for a0 in range(0, n, da):
-                ca = c[a0:a0 + da]
-                full = len(ca) == da and q.shape[1] == dw  # only the last a or w may be short
-                t = buf if full else buf[:len(ca), :, :q.shape[1]]
-                yield a0, w0, np.bitwise_and(ca, q, out=t)
+            ws = min(dw, n - w0)
+            m, spare, second = bufs[1:, :n * n * ws * k].reshape(3, n, n, ws, k)
+            np.take(x, self._hid3[self._em, w0:w0 + ws].transpose(2, 0, 1), axis=0,
+                    out=second, mode="clip")  # [t, b, w, K]; "clip" fills out unbuffered
+            np.bitwise_and(first[0, ..., :ws, :], second[0], out=m)
+            for t in range(1, n):
+                m |= np.bitwise_and(first[t, ..., :ws, :], second[t], out=spare)
+            yield w0, m, spare
 
     def is_hyperfield(self, ns: np.ndarray) -> np.ndarray:
-        """Condition A on every row, then condition B (see `_blocks`) as one
-        transposed comparison per slab of whole (a, b) planes."""
-        n, u, em = self.group.order, self.unit_index, self._em
-        sums = self._sums(ns)
-        ok = (sums & 1).any(axis=1)[np.arange(n) != u].all(axis=0)  # bit 0, t = 1: the pairs
-        for _, w0, t in self._blocks(sums, planes=True):
-            m = t != 0
-            if u:
-                m = m[:, em]  # M_e
-            bad = m.transpose(1, 0, 2, 3) > m
-            diag = np.arange(t.shape[2])
-            bad[u, w0 + diag, diag] = False
-            ok &= ~bad.any(axis=(0, 1, 2))
-        return ok
+        """Condition A, then condition B (see `_blocks`) on each slab."""
+        u = self.unit_index
+        x = _packed(ns)
+        pairs = np.bitwise_or.reduce(x[self._hid3[:, :, 0]], axis=1)  # [x]: some (x, y) selected
+        ok = np.bitwise_and.reduce(np.delete(pairs, u, axis=0), axis=0)  # every x but the unit
+        for w0, m, bad in self._blocks(x):
+            np.invert(m, out=bad)
+            bad &= m.transpose(1, 0, 2, 3)
+            w = np.arange(m.shape[2])
+            bad[u, w0 + w, w] = 0
+            ok &= ~_fold(np.bitwise_or, bad)
+        return _unpacked(ok, len(ns))
 
     # -- brute-force axiom oracle -----------------------------------------
 
@@ -139,22 +148,19 @@ class Kernels:
     # -- star, 4-full, 0/0, field -----------------------------------------
 
     def satisfies_star(self, ns: np.ndarray) -> np.ndarray:
-        ok = True
-        for _, _, t in self._blocks(self._sums(ns)):
-            ok = ok & (t.min(axis=(0, 1, 2)) != 0)
-        return ok
+        slabs = [_fold(np.bitwise_and, m) for _, m, _ in self._blocks(_packed(ns))]
+        return _unpacked(np.bitwise_and.reduce(slabs), len(ns))
 
     def is_4full(self, ns: np.ndarray) -> np.ndarray:
-        n, u, em = self.group.order, self.unit_index, self._em
-        ok = True
-        for a0, w0, t in self._blocks(self._sums(ns)):
-            if a0 <= u < a0 + len(t):
-                w = np.arange(t.shape[2])
-                t[u - a0, em[w0 + w], w] = ~t.dtype.type(0)  # the excluded (unit, unit*w, w)
-            ok = ok & (t.min(axis=(0, 1, 2)) != 0)
-        if n == 1:
-            ok &= ns.any(axis=1)  # F2 is excluded by definition
-        return ok
+        slabs = []
+        for w0, m, _ in self._blocks(_packed(ns)):
+            w = np.arange(m.shape[2])
+            m[self.unit_index, w0 + w, w] = ~m.dtype.type(0)  # the excluded (unit, w, w)
+            slabs.append(_fold(np.bitwise_and, m))
+        out = _unpacked(np.bitwise_and.reduce(slabs), len(ns))
+        if self.group.order == 1:
+            out &= ns.any(axis=1)  # F2 is excluded by definition
+        return out
 
     def one_plus_minus_one(self, ns: np.ndarray) -> np.ndarray:
         """(S, n) bool: nonzero membership bits of 1 + (-1)."""

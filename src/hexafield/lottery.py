@@ -21,12 +21,8 @@ WILSON_Z = 1.959963984540054  # 97.5th percentile of the standard normal
 CENSUS_HEX_CAP = 22
 CLASSIFY_HEX_CAP = 16
 LOTTERY_SAMPLE_CAP = 2**30  # 262,144 chunks of 4096 samples
-# Chunk budget of is_hyperfield / is_field, sized on n^4 * 4 bytes per sample.
-# The kernel holds the packed sums, n^2 words per row of at most 2 bytes up to
-# n = 16, plus one more such array while it builds them, and tests condition B
-# in slabs of at most batch._BLOCK_ELEMENTS bytes (one w, n^2 words and 2 n^2
-# bools per row, when a chunk is wider than that), so the budget is
-# conservative by a factor of more than n.
+# Chunk budget of every event, at Kernels.row_bytes per sample: the bytes a
+# block kernel holds per row, more than the sampler or another event holds
 LOTTERY_TENSOR_BYTES = 2**30
 ORACLE_SUBSAMPLE = 100  # every 100th orbit representative is re-checked against the oracle
 THREAD_CAP = 256
@@ -202,13 +198,10 @@ def estimate(spec: LotterySpec, event: str, threads: int | None = None) -> Estim
         raise CapacityError(f"lottery wants {spec.samples} samples; cap is {LOTTERY_SAMPLE_CAP}")
     kernels = kernels_for(spec.group, spec.unit.index)
     width = kernels.n_hex
-    rows = max(_CHUNK, _CHUNK_BITS // width)
-    if event in ("is_hyperfield", "is_field"):
-        row_bytes = spec.group.order ** 4 * 4
-        rows = min(rows, LOTTERY_TENSOR_BYTES // row_bytes)
-        if rows < 1:
-            raise CapacityError(f"{event} needs {row_bytes} bytes per sample; "
-                                f"budget is {LOTTERY_TENSOR_BYTES}")
+    rows = min(max(_CHUNK, _CHUNK_BITS // width), LOTTERY_TENSOR_BYTES // kernels.row_bytes)
+    if rows < 1:
+        raise CapacityError(f"{event} needs {kernels.row_bytes} bytes per sample; "
+                            f"budget is {LOTTERY_TENSOR_BYTES}")
     nthreads = thread_count(threads)
 
     def work(bounds):

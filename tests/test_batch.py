@@ -152,18 +152,31 @@ def test_field_like_rows_match_the_oracle():
 
 
 @pytest.mark.parametrize("lit", ["Z1", "Z8", "Z9", "Z16", "Z17", "Z32", "Z33", "Z64"])
-def test_sums_bit_by_bit(lit):
-    # every word width: uint8 up to n = 8, uint16 to 16, uint32 to 32, uint64 to 64
+def test_blocks_bit_by_bit(lit):
+    # the bit of row s in m[a, b, w] is any_t ns[s, hex(1, a, t)] & ns[s,
+    # hex(unit*b, w, t)], and the padding bits past the last row stay zero;
+    # 1, 63, 64 and 65 rows take one word, a full word and a second word
     g = AbelianGroup.from_literal(lit)
     n = g.order
-    kernels = Kernels(g, 0)
-    ns = _seeded_rows(g, 0, n)
-    sums = kernels._sums(ns)
-    assert sums.shape == (n, n, len(ns)) and sums.dtype.itemsize * 8 >= n
-    assert sums.dtype.itemsize == 1 or sums.dtype.itemsize * 4 < n
-    bits = (sums[..., None] >> np.arange(n, dtype=sums.dtype)) & 1  # [x, y, s, t]
-    want = ns[:, build_table(g).triple_to_hex]  # [s, x, y, t]
-    assert (bits.astype(bool) == want.transpose(1, 2, 0, 3)).all()
+    hid3 = build_table(g).triple_to_hex
+    ns = _seeded_rows(g, 0, n)[:65]
+    ns = np.concatenate([ns, sample_bits(n, 0, 65 - len(ns), build_table(g).size)])
+    for unit in g.units_of_order_le_2():
+        kernels = kernels_for(g, unit.index)
+        # [s, a, t] @ [s, t, (b, w)]: a count of the t with both selected
+        first = ns[:, hid3[0]].astype(np.float32)
+        second = ns[:, hid3[kernels._em]].reshape(len(ns), n * n, n).transpose(0, 2, 1)
+        want = (first @ second.astype(np.float32) > 0).reshape(len(ns), n, n, n)
+        for rows in [1, 63, 64, 65]:
+            covered = 0
+            for w0, m, _ in kernels._blocks(batch._packed(ns[:rows])):
+                assert m.dtype == np.dtype("<u8") and m.shape[3] == (rows + 63) // 64
+                bits = np.unpackbits(m.view(np.uint8), axis=3, bitorder="little")
+                assert not bits[..., rows:].any(), (lit, unit.index, rows, w0)
+                got = bits[..., :rows].transpose(3, 0, 1, 2).astype(bool)
+                assert (got == want[:rows, :, :, w0:w0 + m.shape[2]]).all(), (lit, rows, w0)
+                covered += m.shape[2]
+            assert covered == n
 
 
 @pytest.mark.parametrize("lit, name, dense", [
@@ -301,20 +314,20 @@ def test_nontrivial_automorphism_matches_whole_rows():
         assert (kernels.has_nontrivial_automorphism(rows) == want).all(), unit
 
 
-@pytest.mark.parametrize("lit, name, bound", [
-    pytest.param("Z33", name, 16 << 20, id=name)
+@pytest.mark.parametrize("lit, name, bound, rows", [
+    pytest.param("Z33", name, 16 << 20, 256, id=name)
     for name in ["is_hyperfield", "satisfies_star", "is_4full"]
 ] + [
-    # the packed sums of 256 Z64 rows take 8 MiB, and building them, or one
-    # condition B slab, takes about as much again for a moment
-    pytest.param("Z64", "is_hyperfield", 24 << 20, id="Z64-is_hyperfield"),
+    pytest.param("Z64", "is_hyperfield", 24 << 20, 256, id="Z64-is_hyperfield"),
+    # four (n, n) slab buffers of 2 MiB each, one w apiece
+    pytest.param("Z64", "is_hyperfield", 24 << 20, 4096, id="Z64-is_hyperfield-4096"),
 ])
-def test_kernel_peak_bytes_bounded(lit, name, bound):
+def test_kernel_peak_bytes_bounded(lit, name, bound, rows):
     # numpy reports its buffers to tracemalloc; one unsplit (n, n, n) block of
     # 256 rows at Z33 would take about 80 MiB
     g = AbelianGroup.from_literal(lit)
     kernel = getattr(kernels_for(g, 0), name)
-    ns = sample_bits(1, 0, 256, build_table(g).size)
+    ns = sample_bits(1, 0, rows, build_table(g).size)
     kernel(ns[:1])  # the cached index tensors are not part of a call
     tracemalloc.start()
     try:
@@ -327,25 +340,52 @@ def test_kernel_peak_bytes_bounded(lit, name, bound):
 
 @pytest.mark.parametrize("lit", ["Z3", "Z9", "Z33", "Z64"])
 @pytest.mark.parametrize("rows", [1, 256, 4096])
-@pytest.mark.parametrize("planes", [False, True])
-def test_blocks_tile_the_block_within_the_budget(lit, rows, planes):
+@pytest.mark.parametrize("last_unit", [False, True])
+def test_blocks_tile_the_block_within_the_budget(lit, rows, last_unit):
+    # the slabs cover every w once, in order, each of the four slab buffers
+    # within max(_BLOCK_ELEMENTS, n^2 K 8) bytes; the block of another unit
+    # is the unit 0 block with its b axis permuted by the unit
     g = AbelianGroup.from_literal(lit)
-    n = g.order
-    kernels = kernels_for(g, 0)
-    # the slabs read only the shape and word width of the packed sums
-    word = kernels._sums(np.zeros((1, build_table(g).size), dtype=bool)).dtype
-    sums = np.broadcast_to(np.ones(1, dtype=word), (n, n, rows))
-    covered = np.zeros((n, n), dtype=np.int64)
-    per_entry = word.itemsize + 2 * planes
-    for a0, w0, t in kernels._blocks(sums, planes):
-        da, nb, dw, s = t.shape
-        assert (nb, s) == (n, rows) and t.dtype == word
-        covered[a0:a0 + da, w0:w0 + dw] += 1
-        if planes:
-            assert da == n
-        alone = (n if planes else 1) * n * rows * per_entry  # one w, or one (a, w)
-        assert t.size * per_entry <= max(batch._BLOCK_ELEMENTS, alone), (a0, w0, t.shape)
-    assert (covered == 1).all()
+    n, k = g.order, (rows + 63) // 64
+    unit = g.units_of_order_le_2()[-1].index if last_unit else 0
+    kernels = kernels_for(g, unit)
+    x = np.random.default_rng(rows).integers(0, 1 << 64, size=(kernels.n_hex, k),
+                                             dtype=np.uint64).astype("<u8")
+    plain = kernels_for(g, 0)._blocks(x) if unit else itertools.repeat(None)
+    covered = []
+    for (w0, m, spare), by_one in zip(kernels._blocks(x), plain):
+        assert m.shape == spare.shape == (n, n, m.shape[2], k) and w0 == len(covered)
+        assert m.nbytes <= max(batch._BLOCK_ELEMENTS, n * n * k * 8), (w0, m.shape)
+        if unit:
+            assert (m == by_one[1][:, kernels._em]).all(), w0
+        covered += range(w0, w0 + m.shape[2])
+    assert covered == list(range(n))
+
+
+@pytest.mark.parametrize("lit", ["Z2xZ4", "Z9"])
+def test_rows_sharing_words_keep_their_verdicts(lit):
+    # 64 rows share each word: a row's verdict in a 4097-row call equals its
+    # verdict alone, where the other rows all get the opposite verdict, at
+    # the first and last bit of a word, the first of the next, and the last
+    # row of the last full word
+    g = AbelianGroup.from_literal(lit)
+    width = build_table(g).size
+    drawn = np.concatenate([sample_bits(9, 0, 256, width) | sample_bits(9, 256, 512, width),
+                            np.zeros((1, width), dtype=bool), np.ones((1, width), dtype=bool)])
+    for unit in g.units_of_order_le_2():
+        kernels = kernels_for(g, unit.index)
+        for name in ["is_hyperfield", "satisfies_star", "is_4full"]:
+            kernel = getattr(kernels, name)
+            alone = np.array([kernel(row[None])[0] for row in drawn])
+            yes, no = drawn[np.argmax(alone)], drawn[np.argmin(alone)]
+            assert kernel(yes[None])[0] and not kernel(no[None])[0], (lit, unit.index, name)
+            for pos in [0, 63, 64, 4095]:
+                for row, rest in [(yes, no), (no, yes)]:
+                    ns = np.repeat(rest[None], 4097, axis=0)
+                    ns[pos] = row
+                    want = np.repeat(kernel(rest[None]), 4097)
+                    want[pos] = kernel(row[None])[0]
+                    assert (kernel(ns) == want).all(), (lit, unit.index, name, pos)
 
 
 def test_one_index_slabs_match_the_default(monkeypatch):

@@ -14,7 +14,7 @@ from hexafield import lottery
 from hexafield.errors import CapacityError
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
-from hexafield.batch import Kernels, bits_to_ints
+from hexafield.batch import Kernels, bits_to_ints, kernels_for
 from hexafield.cli import run
 from hexafield.lottery import (Census, Estimate, LotterySpec, census,
                                class_table, estimate, sample_bits,
@@ -183,7 +183,9 @@ def test_estimate_thread_invariance():
 
 def test_estimate_tensor_budget_bounds_chunks(monkeypatch):
     spec = spec_for("Z5", 0, 2000)
-    want = estimate(spec, "is_hyperfield")
+    row_bytes = kernels_for(spec.group, 0).row_bytes
+    events = ["is_hyperfield", "is_field", "satisfies_star", "all_eps_hexagons"]
+    want = {event: estimate(spec, event) for event in events}
     chunk_rows = []
     run_chunks = lottery._run_chunks
 
@@ -192,26 +194,36 @@ def test_estimate_tensor_budget_bounds_chunks(monkeypatch):
         return run_chunks(work, bounds, threads)
 
     monkeypatch.setattr(lottery, "_run_chunks", recording)
-    assert estimate(spec, "is_hyperfield") == want
-    assert set(chunk_rows) == {2000}  # one default chunk below the budget
-    # 5^4 * 4 bytes per sample: a 100-sample budget gives 20 chunks
-    monkeypatch.setattr(lottery, "LOTTERY_TENSOR_BYTES", 100 * 5**4 * 4)
-    for threads in [1, 2]:
-        chunk_rows.clear()
-        assert estimate(spec, "is_hyperfield", threads=threads) == want
-        assert chunk_rows == [100] * 20
+    assert estimate(spec, "is_hyperfield") == want["is_hyperfield"]
+    assert chunk_rows == [2000]  # one default chunk below the budget
+    # a budget of 100 samples gives 20 chunks to every event
+    monkeypatch.setattr(lottery, "LOTTERY_TENSOR_BYTES", 100 * row_bytes)
+    for event in events:
+        for threads in [1, 2]:
+            chunk_rows.clear()
+            assert estimate(spec, event, threads=threads) == want[event]
+            assert chunk_rows == [100] * 20, (event, threads)
+    monkeypatch.setattr(lottery, "LOTTERY_TENSOR_BYTES", row_bytes - 1)
     chunk_rows.clear()
-    estimate(spec, "satisfies_star")
-    assert chunk_rows == [2000]  # events without the cross tensor keep their chunks
-    monkeypatch.setattr(lottery, "LOTTERY_TENSOR_BYTES", 5**4 * 4 - 1)
-    chunk_rows.clear()
-    for event in ["is_hyperfield", "is_field"]:
+    for event in events:
         with pytest.raises(CapacityError):
             estimate(spec, event)
     assert chunk_rows == []
 
 
+def test_row_bytes_formula():
+    # the bool row and its transposed copy, then one bit per row in the
+    # packed rows, their packing and five (n, n) word arrays:
+    # 2 h + (2 h + 5 n^2) / 8 bytes, rounded up
+    got = {lit: kernels_for(AbelianGroup.from_literal(lit), 0).row_bytes
+           for lit in ["Z1", "Z5", "Z13", "Z17", "Z64", "Z8xZ8"]}
+    assert got == {"Z1": 3, "Z5": 32, "Z13": 185, "Z17": 309, "Z64": 4169, "Z8xZ8": 4169}
+
+
 def test_tensor_budget_keeps_default_chunks_up_to_z16(monkeypatch):
+    # at row_bytes per sample the default budget keeps the default chunks
+    # up to order 64, where a 4096-row chunk asks for 17 MB; a budget one
+    # byte short of a default Z17 chunk takes one row off it
     first_chunk = []
 
     def layout_only(work, bounds, threads):
@@ -219,14 +231,21 @@ def test_tensor_budget_keeps_default_chunks_up_to_z16(monkeypatch):
         return [0]
 
     monkeypatch.setattr(lottery, "_run_chunks", layout_only)
-    for lit in ["Z13", "Z16", "Z17"]:
+    lits = ["Z13", "Z16", "Z17", "Z33", "Z64", "Z8xZ8"]
+    for lit in lits:
         estimate(spec_for(lit, 0, 10_000), "is_hyperfield")
-    assert first_chunk == [4096, 4096, 2**30 // (17**4 * 4)]
+    assert first_chunk == [4096] * len(lits)
+    z17 = spec_for("Z17", 0, 10_000)
+    monkeypatch.setattr(lottery, "LOTTERY_TENSOR_BYTES",
+                        4096 * kernels_for(z17.group, 0).row_bytes - 1)
+    estimate(z17, "is_hyperfield")
+    assert first_chunk[-1] == 4095
 
 
 def test_chunk_rows_follow_the_width(monkeypatch):
-    # at least 2^16 sampled bits and 4096 rows per chunk; the hyperfield
-    # budget still caps the rows (3213 at Z17), and threads never move them
+    # at least 2^16 sampled bits and 4096 rows per chunk; a budget of 3213
+    # Z17 rows caps every event there and no narrower group, and threads
+    # never move the chunks
     layouts = []
 
     def layout_only(work, bounds, threads):
@@ -234,15 +253,16 @@ def test_chunk_rows_follow_the_width(monkeypatch):
         return [0]
 
     monkeypatch.setattr(lottery, "_run_chunks", layout_only)
-    first_rows = {"Z1": 65536, "Z3": 16384, "Z5": 9362, "Z8": 4369, "Z13": 4096, "Z17": 4096}
+    z17 = AbelianGroup.from_literal("Z17")
+    monkeypatch.setattr(lottery, "LOTTERY_TENSOR_BYTES", 3213 * kernels_for(z17, 0).row_bytes)
+    first_rows = {"Z1": 65536, "Z3": 16384, "Z5": 9362, "Z8": 4369, "Z13": 4096, "Z17": 3213}
     for lit, rows in first_rows.items():
-        for event in ["satisfies_star", "is_hyperfield"]:
-            want = 3213 if (lit, event) == ("Z17", "is_hyperfield") else rows
+        for event in ["satisfies_star", "is_hyperfield", "all_eps_hexagons"]:
             layouts.clear()
             for threads in [1, 2, 4]:
                 estimate(spec_for(lit, 0, 100_000), event, threads=threads)
             assert layouts[0] == layouts[1] == layouts[2], (lit, event)
-            assert layouts[0][0] == (0, want), (lit, event)
+            assert layouts[0][0] == (0, rows), (lit, event)
             assert layouts[0][-1][1] == 100_000
 
 
