@@ -2,10 +2,11 @@
 
 Every public method takes a bool matrix NS of shape (samples, #hexagons),
 row s being the hexagon-membership bits of one nullset, and returns a bool
-vector of per-sample verdicts.  The fast predicates are first-order tests on
-the nullset; `axiom_oracle` is the independent judge of them.  It is the
-brute-force axiom check in pastures.py, which serves every group table and
-every row count, so the scalar and skew oracles run the same code.
+vector of per-sample verdicts; `verdicts` returns three (hyperfield, 4-full,
+star) from one walk of the block.  The fast predicates are first-order tests
+on the nullset; `axiom_oracle`, their independent judge, is the brute-force
+axiom check of pastures.py: it serves every group table and row count, so
+the scalar and skew oracles run the same code.
 """
 
 from __future__ import annotations
@@ -126,19 +127,30 @@ class Kernels:
                 m |= np.bitwise_and(first[t, ..., :ws, :], second[t], out=spare)
             yield w0, m, spare
 
-    def is_hyperfield(self, ns: np.ndarray) -> np.ndarray:
-        """Condition A, then condition B (see `_blocks`) on each slab."""
+    def verdicts(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hyperfield, 4-full, star): condition A, then one walk of `_blocks`
+        whose slabs feed condition B, 4-full's AND and the AND over 4-full's
+        diagonal (unit, w, w); star is 4-full and that diagonal."""
         u = self.unit_index
         x = _packed(ns)
         pairs = np.bitwise_or.reduce(x[self._hid3[:, :, 0]], axis=1)  # [x]: some (x, y) selected
-        ok = np.bitwise_and.reduce(np.delete(pairs, u, axis=0), axis=0)  # every x but the unit
+        hyper = np.bitwise_and.reduce(np.delete(pairs, u, axis=0), axis=0)  # every x but the unit
+        full4, diag = np.full((2, x.shape[1]), ~np.uint64(0), dtype=x.dtype)
         for w0, m, bad in self._blocks(x):
+            w = np.arange(m.shape[2])
             np.invert(m, out=bad)
             bad &= m.transpose(1, 0, 2, 3)
-            w = np.arange(m.shape[2])
             bad[u, w0 + w, w] = 0
-            ok &= ~_fold(np.bitwise_or, bad)
-        return _unpacked(ok, len(ns))
+            hyper &= ~_fold(np.bitwise_or, bad)
+            diag &= np.bitwise_and.reduce(m[u, w0 + w, w], axis=0)
+            m[u, w0 + w, w] = ~m.dtype.type(0)  # 4-full's excluded (unit, w, w)
+            full4 &= _fold(np.bitwise_and, m)
+        if self.group.order == 1:
+            full4 &= np.bitwise_or.reduce(x, axis=0)  # F2 is excluded by definition
+        return tuple(_unpacked(words, len(ns)) for words in (hyper, full4, full4 & diag))
+
+    def is_hyperfield(self, ns: np.ndarray) -> np.ndarray:
+        return self.verdicts(ns)[0]
 
     # -- brute-force axiom oracle -----------------------------------------
 
@@ -148,19 +160,10 @@ class Kernels:
     # -- star, 4-full, 0/0, field -----------------------------------------
 
     def satisfies_star(self, ns: np.ndarray) -> np.ndarray:
-        slabs = [_fold(np.bitwise_and, m) for _, m, _ in self._blocks(_packed(ns))]
-        return _unpacked(np.bitwise_and.reduce(slabs), len(ns))
+        return self.verdicts(ns)[2]
 
     def is_4full(self, ns: np.ndarray) -> np.ndarray:
-        slabs = []
-        for w0, m, _ in self._blocks(_packed(ns)):
-            w = np.arange(m.shape[2])
-            m[self.unit_index, w0 + w, w] = ~m.dtype.type(0)  # the excluded (unit, w, w)
-            slabs.append(_fold(np.bitwise_and, m))
-        out = _unpacked(np.bitwise_and.reduce(slabs), len(ns))
-        if self.group.order == 1:
-            out &= ns.any(axis=1)  # F2 is excluded by definition
-        return out
+        return self.verdicts(ns)[1]
 
     def one_plus_minus_one(self, ns: np.ndarray) -> np.ndarray:
         """(S, n) bool: nonzero membership bits of 1 + (-1)."""
@@ -230,11 +233,15 @@ def kernels_for(group: AbelianGroup, unit_index: int) -> Kernels:
 
 def ints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Unpack nullset integers into a (len, width) bool matrix."""
+    if width > 63:
+        raise ValueError(f"{width}-bit nullsets do not fit in int64")
     values = np.asarray(values, dtype=np.int64)
     return (values[:, None] >> np.arange(width, dtype=np.int64)) & 1 > 0
 
 
 def bits_to_ints(bits: np.ndarray) -> np.ndarray:
     width = bits.shape[1]
+    if width > 63:
+        raise ValueError(f"{width}-bit nullsets do not fit in int64")
     weights = np.int64(1) << np.arange(width, dtype=np.int64)
     return bits.astype(np.int64) @ weights

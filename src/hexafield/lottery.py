@@ -149,8 +149,8 @@ def sample_pasture(spec: LotterySpec, index: int) -> Pasture:
     if not 0 <= index < spec.samples:
         raise ValueError(f"sample index {index} outside [0, {spec.samples})")
     width = build_table(spec.group).size
-    bits = sample_bits(spec.seed, index, index + 1, width)
-    return Pasture(spec.group, spec.unit, int(bits_to_ints(bits)[0]))
+    row = np.packbits(sample_bits(spec.seed, index, index + 1, width), bitorder="little")
+    return Pasture(spec.group, spec.unit, int.from_bytes(row.tobytes(), "little"))
 
 
 def wilson_interval(successes: int, samples: int) -> tuple[float, float]:
@@ -223,7 +223,8 @@ class _Orbits(NamedTuple):
     orbit: np.ndarray       # |Aut| / |Stab| nullsets in the orbit
     hyper: np.ndarray
     field: np.ndarray
-    star: np.ndarray        # evaluated on hyperfields only
+    full4: np.ndarray
+    star: np.ndarray
 
 
 def _orbits(group: AbelianGroup, unit: GroupElement, threads: int | None,
@@ -231,9 +232,9 @@ def _orbits(group: AbelianGroup, unit: GroupElement, threads: int | None,
     """Every nullset on (group, unit), one chunk pass, predicates on the
     canonical representatives only.
 
-    Being a hyperfield or field, the star property and the stabiliser size
-    are invariant under the automorphisms, so a representative speaks for
-    its whole orbit.
+    Being a hyperfield, field or 4-full, the star property and the
+    stabiliser size are invariant under the automorphisms, so a
+    representative speaks for its whole orbit.
     """
     width = build_table(group).size
     if width > hex_cap:
@@ -257,22 +258,20 @@ def _orbits(group: AbelianGroup, unit: GroupElement, threads: int | None,
             canon &= image >= vals
             stab += image == vals
         vals, bits, stab = vals[canon], bits[canon], stab[canon]
-        hyper = kernels.is_hyperfield(bits)
+        hyper, full4, star = kernels.verdicts(bits)
         probe = np.arange(len(vals)) % ORACLE_SUBSAMPLE == 0
         if probe.any() and (kernels.axiom_oracle(bits[probe]) != hyper[probe]).any():
             raise RuntimeError("fast hyperfield check disagrees with the axiom oracle")
         field = hyper & ~kernels.one_plus_minus_one(bits).any(axis=1)
-        star = np.zeros_like(hyper)
-        star[hyper] = kernels.satisfies_star(bits[hyper])
-        return vals, stab, hyper, field, star
+        return vals, stab, hyper, field, full4, star
 
     parts = _run_chunks(work, _chunks(1 << width), nthreads)
-    vals, stab, hyper, field, star = (np.concatenate(col) for col in zip(*parts))
+    vals, stab, hyper, field, full4, star = (np.concatenate(col) for col in zip(*parts))
     n_aut = len(perms) + 1
     orbit = n_aut // stab
     if (orbit * stab != n_aut).any() or int(orbit.sum()) != 1 << width:
         raise AssertionError("orbit sizes must divide |Aut| and cover every nullset")
-    return _Orbits(vals, stab, orbit, hyper, field, star)
+    return _Orbits(vals, stab, orbit, hyper, field, full4, star)
 
 
 @dataclass(frozen=True)
@@ -300,7 +299,7 @@ def census(group: AbelianGroup, unit: GroupElement, threads: int | None = None) 
     if group.order >= 2 and (total - hyperfields) << group.order < total:
         raise AssertionError("too many hyperfields for the 2^-n bound")
     return Census(group, unit, total, hyperfields, fields,
-                  int(o.orbit[o.star].sum()), int(o.hyper.sum()),
+                  int(o.orbit[o.hyper & o.star].sum()), int(o.hyper.sum()),
                   int(o.orbit[o.hyper & (o.stabiliser == 1)].sum()))
 
 
@@ -320,10 +319,8 @@ def class_table(group: AbelianGroup, unit: GroupElement, hyper_only: bool = True
     o = _orbits(group, unit, threads, CLASSIFY_HEX_CAP, "classification")
     if hyper_only:
         o = _Orbits(*(col[o.hyper] for col in o))
-    kernels = kernels_for(group, unit.index)
     bits = ints_to_bits(o.values, build_table(group).size)
-    full4 = kernels.is_4full(bits)
-    zz = kernels.is_zero_over_zero(bits)
+    zz = kernels_for(group, unit.index).is_zero_over_zero(bits)
     return tuple(
         ClassRow(Pasture(group, unit, int(val)), bool(h), bool(f), bool(a), bool(z), int(s))
-        for val, h, f, a, z, s in zip(o.values, o.hyper, o.field, full4, zz, o.stabiliser))
+        for val, h, f, a, z, s in zip(o.values, o.hyper, o.field, o.full4, zz, o.stabiliser))

@@ -41,6 +41,18 @@ def test_bits_round_trip():
         assert (bits_to_ints(ints_to_bits(vals, width)) == vals).all()
 
 
+def test_int64_bitsets_refuse_more_than_63_bits():
+    # int64 would wrap: 64 set bits would read back as -1
+    top = np.zeros((1, 63), dtype=bool)
+    top[0, 62] = True
+    assert bits_to_ints(top).tolist() == [1 << 62]
+    assert ints_to_bits(np.array([(1 << 63) - 1]), 63).all()
+    with pytest.raises(ValueError, match="64-bit"):
+        bits_to_ints(np.ones((1, 64), dtype=bool))
+    with pytest.raises(ValueError, match="64-bit"):
+        ints_to_bits(np.zeros(1, dtype=np.int64), 64)
+
+
 def test_batch_matches_scalar_exhaustive():
     for g in abelian_groups_up_to(4):
         for unit in g.units_of_order_le_2():
@@ -278,6 +290,22 @@ def test_hyperfield_and_field_verdicts_exhaustive_pinned():
                     digest.update(np.packbits(getattr(kernels, name)(bits)).tobytes())
     assert digest.hexdigest() == \
         "a1ba23c6143d310db8b0a5a4a38e37ea2261077cf384b481918f8e2f7447e3ac"
+
+
+def test_star_and_4full_verdicts_exhaustive_pinned():
+    # the rows of the pin above, through star and 4-full
+    digest = hashlib.sha256()
+    for g in [*abelian_groups_up_to(8), AbelianGroup.from_literal("Z9")]:
+        width = build_table(g).size
+        for unit in g.units_of_order_le_2():
+            kernels = kernels_for(g, unit.index)
+            for name in ["satisfies_star", "is_4full"]:
+                digest.update(f"{g.literal}/{unit.index}/{name}".encode())
+                for lo in range(0, 1 << width, 4096):
+                    bits = ints_to_bits(np.arange(lo, min(lo + 4096, 1 << width)), width)
+                    digest.update(np.packbits(getattr(kernels, name)(bits)).tobytes())
+    assert digest.hexdigest() == \
+        "594944e85fef83a1d96d08195c72bf5a50a0a7b261a163d1c26b910b1302b12c"
 
 
 def test_kernels_accept_zero_rows():

@@ -20,7 +20,7 @@ from hexafield.lottery import (Census, Estimate, LotterySpec, census,
                                class_table, estimate, sample_bits,
                                sample_pasture, thread_count, wilson_interval)
 from hexafield.morphisms import canonical_form, pasture_automorphisms
-from hexafield.pastures import (all_pastures, field_f3, is_field,
+from hexafield.pastures import (_nullset_row, all_pastures, field_f3, is_field,
                                 is_hyperfield_fast, satisfies_star,
                                 sign_hyperfield)
 
@@ -96,6 +96,17 @@ def test_sample_pasture_matches_bits():
     for i in range(50):
         p = sample_pasture(spec, i)
         assert p.nullset == int(nullsets[i])
+
+
+@pytest.mark.parametrize("lit", ["Z17", "Z18", "Z24", "Z64"])
+def test_sample_pasture_past_63_hexagons(lit):
+    # 57, 64, 109 and 715 hexagons: the nullset is an int of any width, and
+    # `_nullset_row` reads back the sampled row
+    spec = spec_for(lit, 0, 3, seed=7)
+    width = build_table(spec.group).size
+    for i in range(3):
+        row = _nullset_row(sample_pasture(spec, i).nullset, width)
+        assert (row == sample_bits(7, i, i + 1, width)).all(), (lit, i)
 
 
 def test_bit_frequencies_are_fair():
@@ -385,7 +396,7 @@ def test_census_matches_scalar_reference():
 
 
 def test_census_probes_oracle_on_one_percent(monkeypatch):
-    rows = {"is_hyperfield": 0, "axiom_oracle": 0}
+    rows = {"verdicts": 0, "axiom_oracle": 0}
     for name in rows:
         def counted(self, ns, _name=name, _original=getattr(Kernels, name)):
             rows[_name] += len(ns)
@@ -393,8 +404,38 @@ def test_census_probes_oracle_on_one_percent(monkeypatch):
         monkeypatch.setattr(Kernels, name, counted)
     g = AbelianGroup.from_literal("Z8")
     census(g, g.element_by_index(0), threads=1)
-    assert rows["is_hyperfield"] > 0
-    assert rows["axiom_oracle"] * 100 >= rows["is_hyperfield"]
+    assert rows["verdicts"] > 0
+    assert rows["axiom_oracle"] * 100 >= rows["verdicts"]
+
+
+def test_one_block_walk_per_chunk(monkeypatch):
+    # hyperfield, 4-full and star come from one walk of the kernels' block,
+    # so a census, classification or lottery chunk walks it once
+    counts = {"walks": 0, "chunks": 0}
+    blocks, chunks = Kernels._blocks, lottery._chunks
+
+    def counted_blocks(self, x):
+        counts["walks"] += 1
+        return blocks(self, x)
+
+    def counted_chunks(*args):
+        bounds = chunks(*args)
+        counts["chunks"] += len(bounds)
+        return bounds
+
+    monkeypatch.setattr(Kernels, "_blocks", counted_blocks)
+    monkeypatch.setattr(lottery, "_chunks", counted_chunks)
+    z8, z2z4 = AbelianGroup.from_literal("Z8"), AbelianGroup.from_literal("Z2xZ4")
+    runs = [(8, z8, lambda u: census(z8, u, threads=1)),
+            (8, z2z4, lambda u: class_table(z2z4, u, threads=1)),
+            # 4369-row chunks at Z8: two full ones and a short third
+            (3, z8, lambda u: estimate(LotterySpec(z8, u, 5, 10_000), "is_field", 1)),
+            (3, z8, lambda u: estimate(LotterySpec(z8, u, 5, 10_000), "is_hyperfield", 1))]
+    for want, g, run_on in runs:
+        for unit in g.units_of_order_le_2():
+            counts.update(walks=0, chunks=0)
+            run_on(unit)
+            assert counts == {"walks": want, "chunks": want}, (g.literal, unit.index)
 
 
 def test_class_table_z2():
