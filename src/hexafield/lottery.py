@@ -24,7 +24,7 @@ LOTTERY_SAMPLE_CAP = 2**30  # 262,144 chunks of 4096 samples
 # Chunk budget of every event, at Kernels.row_bytes per sample: the bytes a
 # block kernel holds per row, more than the sampler or another event holds
 LOTTERY_TENSOR_BYTES = 2**30
-ORACLE_SUBSAMPLE = 100  # every 100th orbit representative is re-checked against the oracle
+ORACLE_SUBSAMPLE = 100  # every 100th representative of each chunk is re-checked against the oracle
 THREAD_CAP = 256
 # Chunks are fixed work units, so the thread count never moves their boundaries.
 # A census chunk is _CHUNK nullsets.  A lottery chunk holds at least _CHUNK_BITS
@@ -259,14 +259,18 @@ def _orbits(group: AbelianGroup, unit: GroupElement, threads: int | None,
             stab += image == vals
         vals, bits, stab = vals[canon], bits[canon], stab[canon]
         hyper, full4, star = kernels.verdicts(bits)
-        probe = np.arange(len(vals)) % ORACLE_SUBSAMPLE == 0
-        if probe.any() and (kernels.axiom_oracle(bits[probe]) != hyper[probe]).any():
-            raise RuntimeError("fast hyperfield check disagrees with the axiom oracle")
         field = hyper & ~kernels.one_plus_minus_one(bits).any(axis=1)
-        return vals, stab, hyper, field, full4, star
+        probe = slice(None, None, ORACLE_SUBSAMPLE)  # copied, so the chunk's bits are freed
+        return vals, stab, hyper, field, full4, star, bits[probe].copy(), hyper[probe]
 
     parts = _run_chunks(work, _chunks(1 << width), nthreads)
-    vals, stab, hyper, field, full4, star = (np.concatenate(col) for col in zip(*parts))
+    vals, stab, hyper, field, full4, star, probed, claimed = (
+        np.concatenate(col) for col in zip(*parts))
+    # the chunks' probes pooled, in calls no larger than one full chunk's probe
+    step = -(-_CHUNK // ORACLE_SUBSAMPLE)
+    for lo in range(0, len(probed), step):
+        if (kernels.axiom_oracle(probed[lo:lo + step]) != claimed[lo:lo + step]).any():
+            raise RuntimeError("fast hyperfield check disagrees with the axiom oracle")
     n_aut = len(perms) + 1
     orbit = n_aut // stab
     if (orbit * stab != n_aut).any() or int(orbit.sum()) != 1 << width:
@@ -319,8 +323,11 @@ def class_table(group: AbelianGroup, unit: GroupElement, hyper_only: bool = True
     o = _orbits(group, unit, threads, CLASSIFY_HEX_CAP, "classification")
     if hyper_only:
         o = _Orbits(*(col[o.hyper] for col in o))
-    bits = ints_to_bits(o.values, build_table(group).size)
-    zz = kernels_for(group, unit.index).is_zero_over_zero(bits)
+    width, kernels = build_table(group).size, kernels_for(group, unit.index)
+    zz = np.empty(len(o.values), dtype=bool)  # by chunk: 0/0 holds an (S, n, n) array
+    for lo in range(0, len(zz), _CHUNK):
+        zz[lo:lo + _CHUNK] = kernels.is_zero_over_zero(
+            ints_to_bits(o.values[lo:lo + _CHUNK], width))
     return tuple(
         ClassRow(Pasture(group, unit, int(val)), bool(h), bool(f), bool(a), bool(z), int(s))
         for val, h, f, a, z, s in zip(o.values, o.hyper, o.field, o.full4, zz, o.stabiliser))

@@ -270,7 +270,10 @@ def test_thread_flag_is_byte_invariant():
     for args in [("census", "--group", "Z5"),
                  ("lottery", "--group", "Z5", "--event", "hyperfield",
                   "--samples", "2000"),
-                 ("classify", "--group", "Z3")]:
+                 ("classify", "--group", "Z3"),
+                 # 8 chunks per unit, so the threads share the chunks
+                 ("census", "--group", "Z8"),
+                 ("classify", "--group", "Z2xZ4")]:
         one = invoke(*args, "--threads", "1")
         four = invoke(*args, "--threads", "4")
         assert one == four, args

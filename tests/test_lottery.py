@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -397,15 +398,75 @@ def test_census_matches_scalar_reference():
 
 def test_census_probes_oracle_on_one_percent(monkeypatch):
     rows = {"verdicts": 0, "axiom_oracle": 0}
+    lock = threading.Lock()
     for name in rows:
         def counted(self, ns, _name=name, _original=getattr(Kernels, name)):
-            rows[_name] += len(ns)
+            with lock:
+                rows[_name] += len(ns)
             return _original(self, ns)
         monkeypatch.setattr(Kernels, name, counted)
     g = AbelianGroup.from_literal("Z8")
     census(g, g.element_by_index(0), threads=1)
     assert rows["verdicts"] > 0
     assert rows["axiom_oracle"] * 100 >= rows["verdicts"]
+    z2z4 = AbelianGroup.from_literal("Z2xZ4")
+    for run_once in [lambda: census(g, g.element_by_index(0), threads=2),
+                     lambda: class_table(z2z4, z2z4.element_by_index(0), threads=1),
+                     lambda: class_table(z2z4, z2z4.element_by_index(0), threads=2)]:
+        rows.update(verdicts=0, axiom_oracle=0)
+        run_once()
+        assert rows["verdicts"] > 0
+        assert rows["axiom_oracle"] * 100 >= rows["verdicts"]
+
+
+def test_pooled_oracle_probe_still_bites(monkeypatch):
+    # flip the hyperfield verdict of the last chunk's first representative,
+    # which the probe re-checks: census and classification raise at any
+    # thread count, after pooled oracle calls over the same rows
+    verdicts, oracle = Kernels.verdicts, Kernels.axiom_oracle
+    calls = []
+
+    def flipped(self, ns):
+        hyper, full4, star = verdicts(self, ns)
+        if len(ns) and bits_to_ints(ns[:1])[0] >= (1 << ns.shape[1]) - lottery._CHUNK:
+            hyper = hyper.copy()
+            hyper[0] = not hyper[0]
+        return hyper, full4, star
+
+    def recorded(self, ns):
+        calls.append(bits_to_ints(ns).tolist())
+        return oracle(self, ns)
+
+    monkeypatch.setattr(Kernels, "verdicts", flipped)
+    monkeypatch.setattr(Kernels, "axiom_oracle", recorded)
+    z8, z2z4 = AbelianGroup.from_literal("Z8"), AbelianGroup.from_literal("Z2xZ4")
+    runs = [(3, lambda t: census(z8, z8.element_by_index(0), threads=t)),
+            (None, lambda t: class_table(z2z4, z2z4.element_by_index(0), threads=t))]
+    for most_calls, run_at in runs:
+        probed = []
+        for threads in (1, 2):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="axiom oracle"):
+                run_at(threads)
+            # 41 = ceil(4096 / 100) rows, the most one full chunk probes
+            assert calls and max(len(c) for c in calls) <= 41
+            assert most_calls is None or len(calls) <= most_calls
+            probed.append(sorted(v for c in calls for v in c))
+        assert probed[0] == probed[1]
+
+
+def test_class_table_zero_over_zero_by_chunk(monkeypatch):
+    sizes = []
+    original = Kernels.is_zero_over_zero
+
+    def recorded(self, ns):
+        sizes.append(len(ns))
+        return original(self, ns)
+
+    monkeypatch.setattr(Kernels, "is_zero_over_zero", recorded)
+    g = AbelianGroup.from_literal("Z2xZ4")  # 9,728 classes on unit 4
+    rows = class_table(g, g.element_by_index(4), hyper_only=False, threads=1)
+    assert sizes == [4096, 4096, len(rows) - 8192]
 
 
 def test_one_block_walk_per_chunk(monkeypatch):
