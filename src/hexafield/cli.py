@@ -144,11 +144,12 @@ def _cmd_lottery(ns, out):
 
 def _cmd_check(ns, out):
     p = load_pasture_file(ns.pasture)
+    full4 = is_4full(p)  # first: past the oracle cap it raises before the others run
     bits = [
         ("is_hyperfield", is_hyperfield_fast(p)),
         ("is_field", is_field(p)),
         ("is_00", is_zero_over_zero(p)),
-        ("is_4full", is_4full(p)),
+        ("is_4full", full4),
     ]
     out.write(" ".join(f"{k}={str(v).lower()}" for k, v in bits) + "\n")
 

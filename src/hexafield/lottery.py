@@ -7,7 +7,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -214,27 +213,19 @@ def estimate(spec: LotterySpec, event: str, threads: int | None = None) -> Estim
                     Fraction(successes, spec.samples), low, high)
 
 
-class _Orbits(NamedTuple):
-    """One canonical (minimal) nullset per orbit of the unit-fixing
-    automorphisms, in increasing order, with what the orbit shares."""
-
-    values: np.ndarray
-    stabiliser: np.ndarray  # automorphisms fixing the nullset, identity included
-    orbit: np.ndarray       # |Aut| / |Stab| nullsets in the orbit
-    hyper: np.ndarray
-    field: np.ndarray
-    full4: np.ndarray
-    star: np.ndarray
-
-
 def _orbits(group: AbelianGroup, unit: GroupElement, threads: int | None,
-            hex_cap: int, task: str) -> _Orbits:
+            hex_cap: int, task: str, reduce) -> tuple:
     """Every nullset on (group, unit), one chunk pass, predicates on the
-    canonical representatives only.
+    canonical (minimal) representative of each orbit of the unit-fixing
+    automorphisms only.
 
     Being a hyperfield, field or 4-full, the star property and the
     stabiliser size are invariant under the automorphisms, so a
-    representative speaks for its whole orbit.
+    representative speaks for its whole orbit.  Each chunk returns
+    reduce(values, bits, orbit, stabiliser, hyper, field, full4, star) over
+    its representatives, in increasing order: the stabiliser counts the
+    automorphisms fixing the nullset, identity included, and the orbit holds
+    |Aut| / |Stab| nullsets.  The results come back in chunk order.
     """
     width = build_table(group).size
     if width > hex_cap:
@@ -246,6 +237,7 @@ def _orbits(group: AbelianGroup, unit: GroupElement, threads: int | None,
     nthreads = thread_count(threads)
     kernels = kernels_for(group, unit.index)
     perms = kernels.nontrivial_hex_perms
+    n_aut = len(perms) + 1
 
     def work(bounds):
         lo, hi = bounds
@@ -258,24 +250,25 @@ def _orbits(group: AbelianGroup, unit: GroupElement, threads: int | None,
             canon &= image >= vals
             stab += image == vals
         vals, bits, stab = vals[canon], bits[canon], stab[canon]
+        orbit = n_aut // stab
+        if (orbit * stab != n_aut).any():
+            raise AssertionError("orbit sizes must divide |Aut|")
         hyper, full4, star = kernels.verdicts(bits)
         field = hyper & ~kernels.one_plus_minus_one(bits).any(axis=1)
         probe = slice(None, None, ORACLE_SUBSAMPLE)  # copied, so the chunk's bits are freed
-        return vals, stab, hyper, field, full4, star, bits[probe].copy(), hyper[probe]
+        return (reduce(vals, bits, orbit, stab, hyper, field, full4, star),
+                int(orbit.sum()), bits[probe].copy(), hyper[probe])
 
-    parts = _run_chunks(work, _chunks(1 << width), nthreads)
-    vals, stab, hyper, field, full4, star, probed, claimed = (
-        np.concatenate(col) for col in zip(*parts))
+    results, covered, probed, claimed = zip(*_run_chunks(work, _chunks(1 << width), nthreads))
+    probed, claimed = np.concatenate(probed), np.concatenate(claimed)
     # the chunks' probes pooled, in calls no larger than one full chunk's probe
     step = -(-_CHUNK // ORACLE_SUBSAMPLE)
     for lo in range(0, len(probed), step):
         if (kernels.axiom_oracle(probed[lo:lo + step]) != claimed[lo:lo + step]).any():
             raise RuntimeError("fast hyperfield check disagrees with the axiom oracle")
-    n_aut = len(perms) + 1
-    orbit = n_aut // stab
-    if (orbit * stab != n_aut).any() or int(orbit.sum()) != 1 << width:
-        raise AssertionError("orbit sizes must divide |Aut| and cover every nullset")
-    return _Orbits(vals, stab, orbit, hyper, field, full4, star)
+    if sum(covered) != 1 << width:
+        raise AssertionError("orbits must cover every nullset")
+    return results
 
 
 @dataclass(frozen=True)
@@ -293,18 +286,19 @@ class Census:
 def census(group: AbelianGroup, unit: GroupElement, threads: int | None = None) -> Census:
     """Exact counts over every nullset on (group, unit): each canonical
     representative is weighted by its orbit size."""
-    o = _orbits(group, unit, threads, CENSUS_HEX_CAP, "census")
+    def counts(vals, bits, orbit, stab, hyper, field, full4, star):
+        return np.array([orbit[hyper].sum(), orbit[field].sum(), orbit[hyper & star].sum(),
+                         hyper.sum(), orbit[hyper & (stab == 1)].sum()], dtype=np.int64)
+
+    hyperfields, fields, stars, classes, rigid = (
+        int(c) for c in sum(_orbits(group, unit, threads, CENSUS_HEX_CAP, "census", counts)))
     total = 1 << build_table(group).size
-    hyperfields = int(o.orbit[o.hyper].sum())
-    fields = int(o.orbit[o.field].sum())
     if not fields <= hyperfields <= total:
         raise AssertionError("fields must be hyperfields")
     # non-hyperfield mass is at least 2^-n
     if group.order >= 2 and (total - hyperfields) << group.order < total:
         raise AssertionError("too many hyperfields for the 2^-n bound")
-    return Census(group, unit, total, hyperfields, fields,
-                  int(o.orbit[o.hyper & o.star].sum()), int(o.hyper.sum()),
-                  int(o.orbit[o.hyper & (o.stabiliser == 1)].sum()))
+    return Census(group, unit, total, hyperfields, fields, stars, classes, rigid)
 
 
 @dataclass(frozen=True)
@@ -320,14 +314,14 @@ class ClassRow:
 def class_table(group: AbelianGroup, unit: GroupElement, hyper_only: bool = True,
                 threads: int | None = None) -> tuple[ClassRow, ...]:
     """One row per isomorphism class, in canonical nullset order."""
-    o = _orbits(group, unit, threads, CLASSIFY_HEX_CAP, "classification")
-    if hyper_only:
-        o = _Orbits(*(col[o.hyper] for col in o))
-    width, kernels = build_table(group).size, kernels_for(group, unit.index)
-    zz = np.empty(len(o.values), dtype=bool)  # by chunk: 0/0 holds an (S, n, n) array
-    for lo in range(0, len(zz), _CHUNK):
-        zz[lo:lo + _CHUNK] = kernels.is_zero_over_zero(
-            ints_to_bits(o.values[lo:lo + _CHUNK], width))
-    return tuple(
-        ClassRow(Pasture(group, unit, int(val)), bool(h), bool(f), bool(a), bool(z), int(s))
-        for val, h, f, a, z, s in zip(o.values, o.hyper, o.field, o.full4, zz, o.stabiliser))
+    kernels = kernels_for(group, unit.index)
+
+    def rows(vals, bits, orbit, stab, hyper, field, full4, star):
+        keep = hyper | (not hyper_only)
+        zz = kernels.is_zero_over_zero(bits[keep])  # an (S, n, n) array, S at most one chunk
+        return [ClassRow(Pasture(group, unit, int(v)), bool(h), bool(f), bool(a), bool(z), int(s))
+                for v, h, f, a, z, s in zip(vals[keep], hyper[keep], field[keep], full4[keep],
+                                            zz, stab[keep])]
+
+    chunks = _orbits(group, unit, threads, CLASSIFY_HEX_CAP, "classification", rows)
+    return tuple(row for chunk in chunks for row in chunk)

@@ -8,6 +8,7 @@ from math import prod
 import numpy as np
 
 from .errors import CapacityError
+from .galois import _prime_factors
 from .groups import AbelianGroup
 from .hexagons import TABLE_ORDER_CAP, build_table
 from .morphisms import is_morphism
@@ -32,18 +33,11 @@ def product_group(g1: AbelianGroup, g2: AbelianGroup):
     slots = list(g1.invariant_factors) + list(g2.invariant_factors)
     per_prime: dict[int, list[tuple[int, int]]] = {}
     for slot, m in enumerate(slots):
-        rest = m
-        d = 2
-        while d * d <= rest:
-            if rest % d == 0:
-                e = 0
-                while rest % d == 0:
-                    rest //= d
-                    e += 1
-                per_prime.setdefault(d, []).append((d ** e, slot))
-            d += 1
-        if rest > 1:
-            per_prime.setdefault(rest, []).append((rest, slot))
+        for p in _prime_factors(m):
+            pw = p
+            while m % (pw * p) == 0:
+                pw *= p
+            per_prime.setdefault(p, []).append((pw, slot))
     rank = max((len(v) for v in per_prime.values()), default=0)
     for v in per_prime.values():
         v.sort(reverse=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hexafield import galois, lottery, skew
+from hexafield import cli, galois, lottery, skew
 from hexafield.batch import kernels_for
 from hexafield.cli import run
 from hexafield.galois import QuotientSpec, build_field, quotient_hyperfield
@@ -70,6 +70,19 @@ def test_check_output_is_exact(tmp_path):
     path = write_pasture(tmp_path, field_f3(), "f3.json")
     assert invoke("check", "--pasture", path)[1] == \
         "is_hyperfield=true is_field=true is_00=false is_4full=false\n"
+
+
+def test_check_past_the_oracle_cap_exits_2_before_any_predicate(tmp_path, monkeypatch, capsys):
+    def no_predicate(*args):
+        raise AssertionError("a predicate ran before the oracle cap check")
+
+    z64 = AbelianGroup.from_literal("Z64")
+    path = write_pasture(tmp_path, lottery.sample_pasture(
+        lottery.LotterySpec(z64, z64.element_by_index(0), 1, 1), 0), "z64.json")
+    monkeypatch.setattr(cli, "is_hyperfield_fast", no_predicate)
+    assert invoke("check", "--pasture", path) == (2, "")
+    assert capsys.readouterr().err == \
+        f"error: addition table capped at group order {ORACLE_ORDER_CAP}, got order 64\n"
 
 
 def test_census_csv_shape():

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -464,9 +465,24 @@ def test_class_table_zero_over_zero_by_chunk(monkeypatch):
         return original(self, ns)
 
     monkeypatch.setattr(Kernels, "is_zero_over_zero", recorded)
-    g = AbelianGroup.from_literal("Z2xZ4")  # 9,728 classes on unit 4
+    g = AbelianGroup.from_literal("Z2xZ4")  # 9,728 classes on unit 4, in 8 chunks
     rows = class_table(g, g.element_by_index(4), hyper_only=False, threads=1)
-    assert sizes == [4096, 4096, len(rows) - 8192]
+    assert len(sizes) == 8
+    assert max(sizes) <= lottery._CHUNK and sum(sizes) == len(rows)
+
+
+def test_census_memory_stays_within_a_chunk():
+    # census keeps five counts per chunk, not a column per representative
+    for literal in ("Z9", "Z3xZ3"):
+        g = AbelianGroup.from_literal(literal)
+        census(g, g.element_by_index(0), threads=1)  # warm caches
+        tracemalloc.start()
+        try:
+            census(g, g.element_by_index(0), threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (literal, peak)
 
 
 def test_one_block_walk_per_chunk(monkeypatch):
