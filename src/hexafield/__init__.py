@@ -3,8 +3,7 @@ they reconstruct: enumeration, sampling, censuses, quotient recognition,
 products, and the non-commutative orbit counts.
 """
 
-from .batch import (EVENT_NAMES, Kernels, bits_to_ints, ints_to_bits,
-                    kernels_for)
+from .batch import EVENT_NAMES, Kernels, ints_to_bits, kernels_for
 from .errors import CapacityError
 from .galois import (FiniteField, QuotientSpec, QuotientVerdict, build_field,
                      factor_prime_power, is_quotient_of_finite_field,
@@ -37,7 +36,7 @@ __all__ = [
     "Pasture", "QuotientSpec", "QuotientVerdict",
     "abelian_groups_up_to", "all_pastures",
     "alternating_4", "are_isomorphic", "automorphisms_fixing", "axiom_oracle",
-    "bits_to_ints", "build_field", "build_table", "burnside_orbit_count",
+    "build_field", "build_table", "burnside_orbit_count",
     "canonical_form", "census", "class_table", "dihedral", "dumps_pasture",
     "estimate", "factor_prime_power", "fetvins_exhaustive", "field_f2",
     "field_f3", "from_abelian", "hexagon_count_formula",

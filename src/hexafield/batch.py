@@ -19,11 +19,12 @@ import numpy as np
 from .groups import AbelianGroup, automorphisms_fixing
 from .hexagons import build_table
 from .morphisms import hexagon_permutations
-from .pastures import _axioms_hold
+from .pastures import Pasture, _axioms_hold, _nullset_row
 
 
 # bytes in each of the four slab buffers of the kernels' block: 512 KiB, so that
-# all four stay in a 2 MiB cache between a slab's `&`, `|` and its reduction
+# all four stay in a 2 MiB cache between a slab's `&`, `|` and its reduction.
+# The orbit scan's (permutations, K) words take the same budget per array.
 _BLOCK_ELEMENTS = 1 << 19
 
 
@@ -194,16 +195,39 @@ class Kernels:
         return hexagon_permutations(build_table(self.group),
                                     autos[(autos != np.arange(self.group.order)).any(axis=1)])
 
+    def orbit_scan(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(canon, stab): canon says no image row[perm] under a nontrivial
+        automorphism is smaller, read as a number whose bit h is hexagon h;
+        stab counts the automorphisms fixing the row, identity included.
+
+        Bit-sliced on `_packed(ns)`, for as many permutations at once as fit
+        one (block, K) array in `_BLOCK_ELEMENTS` bytes: the hexagons are
+        compared from the top down, `same` keeps the rows whose image agrees
+        so far and `less` those whose image is smaller where it first
+        differs.  A block stops once no image agrees so far."""
+        perms, x = self.nontrivial_hex_perms, _packed(ns)
+        rows = _packed(np.ones((len(ns), 1), dtype=bool))[0]  # the padding bits stay clear
+        smaller = np.zeros_like(rows)
+        stab = np.ones(len(ns), dtype=np.int64)
+        step = max(1, _BLOCK_ELEMENTS // rows.nbytes)
+        for b0 in range(0, len(perms), step):
+            block = perms[b0:b0 + step]
+            same = np.repeat(rows[None], len(block), axis=0)
+            less = np.zeros_like(same)
+            for h in range(x.shape[0] - 1, -1, -1):
+                image = x[block[:, h]]
+                less |= same & x[h] & ~image
+                same &= ~(image ^ x[h])
+                if not same.any():
+                    break
+            smaller |= np.bitwise_or.reduce(less, axis=0)
+            live = same[same.any(axis=1)]  # unpacked, each takes a byte per row
+            stab += np.unpackbits(live.view(np.uint8), axis=1, count=len(ns),
+                                  bitorder="little").sum(axis=0, dtype=np.int64)
+        return ~_unpacked(smaller, len(ns)), stab
+
     def has_nontrivial_automorphism(self, ns: np.ndarray) -> np.ndarray:
-        # compare 16 columns spread over the hexagons first (automorphisms fix
-        # many low ones), then whole rows only where those agree
-        cols = np.linspace(0, self.n_hex - 1, 16).astype(np.int64)
-        head = ns[:, cols]
-        out = np.zeros(len(ns), dtype=bool)
-        for perm in self.nontrivial_hex_perms:
-            live = np.flatnonzero((head == ns[:, perm[cols]]).all(axis=1))
-            out[live] |= (ns[live] == ns[live][:, perm]).all(axis=1)
-        return out
+        return self.orbit_scan(ns)[1] > 1
 
     def event(self, name: str, ns: np.ndarray) -> np.ndarray:
         try:
@@ -231,17 +255,20 @@ def kernels_for(group: AbelianGroup, unit_index: int) -> Kernels:
     return Kernels(group, unit_index)
 
 
+def pasture_is_hyperfield(pasture: Pasture) -> bool:
+    """The kernels' hyperfield verdict on one pasture.  It has no order cap,
+    and it costs one kernel row where `is_hyperfield_fast` visits every pair
+    of selected pairs in Python.  A one-off verdict builds its own `Kernels`
+    (a Pasture's unit is self-inverse) instead of filling `kernels_for`'s
+    cache with every group it meets; `quotient_hyperfield`, which checks
+    many fields on one group, keeps its cached kernels."""
+    kernels = Kernels(pasture.group, pasture.unit_index)
+    return bool(kernels.is_hyperfield(_nullset_row(pasture.nullset, kernels.n_hex))[0])
+
+
 def ints_to_bits(values: np.ndarray, width: int) -> np.ndarray:
     """Unpack nullset integers into a (len, width) bool matrix."""
     if width > 63:
         raise ValueError(f"{width}-bit nullsets do not fit in int64")
     values = np.asarray(values, dtype=np.int64)
     return (values[:, None] >> np.arange(width, dtype=np.int64)) & 1 > 0
-
-
-def bits_to_ints(bits: np.ndarray) -> np.ndarray:
-    width = bits.shape[1]
-    if width > 63:
-        raise ValueError(f"{width}-bit nullsets do not fit in int64")
-    weights = np.int64(1) << np.arange(width, dtype=np.int64)
-    return bits.astype(np.int64) @ weights

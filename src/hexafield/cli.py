@@ -11,6 +11,7 @@ import csv
 import json
 import sys
 
+from .batch import pasture_is_hyperfield
 from .errors import CapacityError
 from .galois import (QuotientSpec, build_field, factor_prime_power,
                      is_quotient_of_finite_field, quotient_hyperfield)
@@ -183,9 +184,9 @@ def _cmd_product(ns, out):
     p1 = load_pasture_file(ns.a)
     p2 = load_pasture_file(ns.b)
     result = product(p1, p2)
-    both_hyper = is_hyperfield_fast(p1) and is_hyperfield_fast(p2)
+    both_hyper = pasture_is_hyperfield(p1) and pasture_is_hyperfield(p2)
     extra = {
-        "is_hyperfield": is_hyperfield_fast(result),
+        "is_hyperfield": pasture_is_hyperfield(result),
         "is_00": is_zero_over_zero(result),
         "theorem_verdict": product_theorem_verdict(p1, p2) if both_hyper else None,
     }

@@ -10,7 +10,7 @@ from math import sqrt
 
 import numpy as np
 
-from .batch import EVENT_NAMES, bits_to_ints, ints_to_bits, kernels_for
+from .batch import EVENT_NAMES, ints_to_bits, kernels_for
 from .errors import CapacityError
 from .groups import AbelianGroup, GroupElement
 from .hexagons import build_table
@@ -236,19 +236,13 @@ def _orbits(group: AbelianGroup, unit: GroupElement, threads: int | None,
             f"got {group.order}")
     nthreads = thread_count(threads)
     kernels = kernels_for(group, unit.index)
-    perms = kernels.nontrivial_hex_perms
-    n_aut = len(perms) + 1
+    n_aut = len(kernels.nontrivial_hex_perms) + 1
 
     def work(bounds):
         lo, hi = bounds
         vals = np.arange(lo, hi, dtype=np.int64)
         bits = ints_to_bits(vals, width)
-        canon = np.ones(len(vals), dtype=bool)
-        stab = np.ones(len(vals), dtype=np.int64)
-        for perm in perms:
-            image = bits_to_ints(bits[:, perm])
-            canon &= image >= vals
-            stab += image == vals
+        canon, stab = kernels.orbit_scan(bits)
         vals, bits, stab = vals[canon], bits[canon], stab[canon]
         orbit = n_aut // stab
         if (orbit * stab != n_aut).any():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from hexafield import batch
-from hexafield.batch import (EVENT_NAMES, Kernels, bits_to_ints, ints_to_bits,
-                             kernels_for)
+from hexafield.batch import EVENT_NAMES, Kernels, ints_to_bits, kernels_for
 from hexafield.errors import CapacityError
 from hexafield.galois import (QuotientSpec, build_field, factor_prime_power,
                               quotient_hyperfield)
@@ -35,20 +34,18 @@ def all_bits(group):
 
 
 def test_bits_round_trip():
+    # bit h of the integer is column h
     rng = np.random.default_rng(3)
     for width in range(1, 23):
         vals = rng.integers(0, 1 << width, size=200, dtype=np.int64)
-        assert (bits_to_ints(ints_to_bits(vals, width)) == vals).all()
+        want = np.unpackbits(vals.astype("<u8")[:, None].view(np.uint8), axis=1,
+                             count=width, bitorder="little").astype(bool)
+        assert (ints_to_bits(vals, width) == want).all()
 
 
 def test_int64_bitsets_refuse_more_than_63_bits():
-    # int64 would wrap: 64 set bits would read back as -1
-    top = np.zeros((1, 63), dtype=bool)
-    top[0, 62] = True
-    assert bits_to_ints(top).tolist() == [1 << 62]
+    # int64 would wrap: bit 63 is the sign
     assert ints_to_bits(np.array([(1 << 63) - 1]), 63).all()
-    with pytest.raises(ValueError, match="64-bit"):
-        bits_to_ints(np.ones((1, 64), dtype=bool))
     with pytest.raises(ValueError, match="64-bit"):
         ints_to_bits(np.zeros(1, dtype=np.int64), 64)
 
@@ -342,6 +339,78 @@ def test_nontrivial_automorphism_matches_whole_rows():
         assert (kernels.has_nontrivial_automorphism(rows) == want).all(), unit
 
 
+def _orbit_reference(rows, perms):
+    """(canon, stab) from the definition: each row and its images row[perm]
+    read as Python ints, bit h being hexagon h."""
+    def value(row):
+        return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+    canon, stab = [], []
+    for row in rows:
+        v = value(row)
+        images = [value(row[perm]) for perm in perms]
+        canon.append(all(image >= v for image in images))
+        stab.append(1 + images.count(v))
+    return canon, stab
+
+
+def _orbit_rows(kernels, rng, count):
+    """Uniform rows, the same rows closed under one random nontrivial
+    automorphism each, those with one bit flipped, and the empty and full rows."""
+    width, perms = kernels.n_hex, kernels.nontrivial_hex_perms
+    ns = rng.random((count, width)) < 0.5
+    sym, idx = ns.copy(), perms[rng.integers(len(perms), size=count)]
+    while True:
+        image = sym[np.arange(count)[:, None], idx]
+        if (image <= sym).all():
+            break
+        sym |= image
+    flipped = sym.copy()
+    flipped[np.arange(count), rng.integers(width, size=count)] ^= True
+    return np.vstack([ns, sym, flipped, np.zeros((1, width), dtype=bool),
+                      np.ones((1, width), dtype=bool)])
+
+
+def test_orbit_scan_matches_the_definition():
+    # every nullset of the small groups, then seeded rows past int64 (Z2xZ32
+    # has 715 hexagons)
+    seen = set()
+    for g in abelian_groups_up_to(6):
+        for unit in g.units_of_order_le_2():
+            kernels = kernels_for(g, unit.index)
+            rows = all_bits(g)
+            canon, stab = kernels.orbit_scan(rows)
+            want = _orbit_reference(rows, kernels.nontrivial_hex_perms)
+            assert (canon.tolist(), stab.tolist()) == want, (g.literal, unit.index)
+    rng = np.random.default_rng(29)
+    for lit in ["Z13", "Z2xZ8", "Z2xZ32"]:
+        g = AbelianGroup.from_literal(lit)
+        for unit in g.units_of_order_le_2():
+            kernels = kernels_for(g, unit.index)
+            rows = _orbit_rows(kernels, rng, 100)
+            canon, stab = kernels.orbit_scan(rows)
+            want = _orbit_reference(rows, kernels.nontrivial_hex_perms)
+            assert (canon.tolist(), stab.tolist()) == want, (lit, unit.index)
+            seen |= set(zip(canon.tolist(), (stab > 1).tolist()))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_orbit_scan_one_permutation_per_block(monkeypatch):
+    # 1,343 and 511 permutations; on Z8xZ8 the empty and full rows are left
+    # out, as they would walk all 715 hexagons once per permutation
+    rng = np.random.default_rng(31)
+    cases = []
+    for lit, unit, count, stop in [("Z2xZ2xZ2xZ2", 1, 30, None), ("Z8xZ8", 4, 8, -2)]:
+        kernels = kernels_for(AbelianGroup.from_literal(lit), unit)
+        rows = _orbit_rows(kernels, rng, count)[:stop]
+        cases.append((kernels, rows, kernels.orbit_scan(rows)))
+    monkeypatch.setattr(batch, "_BLOCK_ELEMENTS", 1)
+    for kernels, rows, (canon, stab) in cases:
+        got_canon, got_stab = kernels.orbit_scan(rows)
+        assert (got_canon == canon).all() and (got_stab == stab).all(), \
+            (kernels.group.literal, kernels.unit_index)
+
+
 @pytest.mark.parametrize("lit, name, bound, rows", [
     pytest.param("Z33", name, 16 << 20, 256, id=name)
     for name in ["is_hyperfield", "satisfies_star", "is_4full"]
@@ -349,6 +418,11 @@ def test_nontrivial_automorphism_matches_whole_rows():
     pytest.param("Z64", "is_hyperfield", 24 << 20, 256, id="Z64-is_hyperfield"),
     # four (n, n) slab buffers of 2 MiB each, one w apiece
     pytest.param("Z64", "is_hyperfield", 24 << 20, 4096, id="Z64-is_hyperfield-4096"),
+    # the orbit scan's (permutations, K) words, a block of them at a time
+    pytest.param("Z2xZ2xZ2xZ2", "has_nontrivial_automorphism", 8 << 20, 4096,
+                 id="Z2xZ2xZ2xZ2-has_nontrivial_automorphism-4096"),
+    pytest.param("Z8xZ8", "has_nontrivial_automorphism", 8 << 20, 4096,
+                 id="Z8xZ8-has_nontrivial_automorphism-4096"),
 ])
 def test_kernel_peak_bytes_bounded(lit, name, bound, rows):
     # numpy reports its buffers to tracemalloc; one unsplit (n, n, n) block of

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hexafield import cli, galois, lottery, skew
+from hexafield import cli, galois, lottery, products, skew
 from hexafield.batch import kernels_for
 from hexafield.cli import run
 from hexafield.galois import QuotientSpec, build_field, quotient_hyperfield
@@ -216,6 +217,52 @@ def test_product_past_the_oracle_cap(tmp_path):
     back = loads_pasture(text)
     assert back.group.literal == "Z10"
     assert loads_pasture(dumps_pasture(back)) == back
+
+
+def test_product_runs_no_scalar_hyperfield_check(tmp_path, monkeypatch):
+    # each hyperfield verdict of `product` is one kernel row; the scalar check
+    # took half a minute on the full Z8 x Z8 and Z32 x Z2 pairs.  Digests
+    # pinned from the scalar verdicts.
+    def scalar(*args):
+        raise AssertionError("the scalar hyperfield check ran")
+
+    monkeypatch.setattr(cli, "is_hyperfield_fast", scalar)
+    monkeypatch.setattr(products, "is_hyperfield_fast", scalar, raising=False)
+
+    def full(lit):
+        g = AbelianGroup.from_literal(lit)
+        return write_pasture(tmp_path, Pasture(g, g.identity, (1 << build_table(g).size) - 1),
+                             f"{lit}.json")
+
+    z5 = write_pasture(tmp_path, quotient_hyperfield(QuotientSpec(build_field(11, 1), 5)),
+                       "z5.json")
+    sign = write_pasture(tmp_path, sign_hyperfield(), "sign.json")
+    f3 = write_pasture(tmp_path, field_f3(), "f3.json")
+    k = write_pasture(tmp_path, krasner(), "k.json")
+    z8 = full("Z8")
+    for a, b, digest in [
+        (z8, z8, "cc22497c1a782bc1e668e010bf87c2f56bca55919ffd651bc79c6c14f8d3accc"),
+        (full("Z32"), full("Z2"), "aa9a49ebcf105431d293b42a3a5e03b8539220efb208f094b1c4691692be4770"),
+        (z5, sign, "584f4409aca0001ebd3da5f4997a567cd33353e73df1714aa5c441017d974c6c"),
+        (f3, k, "accf38263c67fa8028f9022162c99275c0c54a8aa02767af7301509b5b90753a"),
+        (sign, sign, "496a9d330f5d51a5c4e94c48cf5f2bae8b4daa4d62a8ccfc98374d7e93c795ea"),
+    ]:
+        code, text = invoke("product", "--a", a, "--b", b)
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (0, digest), (a, b)
+
+
+def test_auto_lottery_output_pinned():
+    # the `auto` event on 4096 samples at unit 0: Z2xZ2xZ2xZ2 has 20,159
+    # nontrivial automorphisms, and Z8xZ8 and Z2xZ32 715 hexagons
+    for lit, digest in [
+        ("Z2xZ2xZ2xZ2", "187766d1c0beb120a42bc5b8ec80d4379d93a175695adddcab46a1f456acc820"),
+        ("Z3xZ3xZ3", "a5471cd75c67ae5a6adfa1d56ed3ab5377a5a0d60225217ab5fb9dff043942f7"),
+        ("Z8xZ8", "a5471cd75c67ae5a6adfa1d56ed3ab5377a5a0d60225217ab5fb9dff043942f7"),
+        ("Z2xZ32", "a5471cd75c67ae5a6adfa1d56ed3ab5377a5a0d60225217ab5fb9dff043942f7"),
+    ]:
+        code, text = invoke("lottery", "--group", lit, "--event", "auto", "--samples", "4096",
+                            "--seed", "1")
+        assert (code, hashlib.sha256(text.encode()).hexdigest()) == (0, digest), lit
 
 
 def test_skewhex_outputs():

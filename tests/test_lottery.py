@@ -16,7 +16,7 @@ from hexafield import lottery
 from hexafield.errors import CapacityError
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
-from hexafield.batch import Kernels, bits_to_ints, kernels_for
+from hexafield.batch import Kernels, kernels_for
 from hexafield.cli import run
 from hexafield.lottery import (Census, Estimate, LotterySpec, census,
                                class_table, estimate, sample_bits,
@@ -94,10 +94,10 @@ def test_sampler_range_validation():
 def test_sample_pasture_matches_bits():
     spec = spec_for("Z3", 0, 50, seed=7)
     width = build_table(Z3).size
-    nullsets = bits_to_ints(sample_bits(7, 0, 50, width))
+    rows = sample_bits(7, 0, 50, width)
     for i in range(50):
         p = sample_pasture(spec, i)
-        assert p.nullset == int(nullsets[i])
+        assert (_nullset_row(p.nullset, width) == rows[i]).all()
 
 
 @pytest.mark.parametrize("lit", ["Z17", "Z18", "Z24", "Z64"])
@@ -420,6 +420,19 @@ def test_census_probes_oracle_on_one_percent(monkeypatch):
         assert rows["axiom_oracle"] * 100 >= rows["verdicts"]
 
 
+def test_orbit_checks_bite(monkeypatch):
+    # Z8 at unit 0 has |Aut| = 4: a stabiliser of 3 divides nothing, and
+    # keeping every nullset as a representative covers some of them twice
+    scan = Kernels.orbit_scan
+    z8 = AbelianGroup.from_literal("Z8")
+    for broken, message in [(lambda canon, stab: (canon, stab + 2), "divide"),
+                            (lambda canon, stab: (canon | True, stab), "cover")]:
+        monkeypatch.setattr(Kernels, "orbit_scan",
+                            lambda self, ns, broken=broken: broken(*scan(self, ns)))
+        with pytest.raises(AssertionError, match=message):
+            census(z8, z8.element_by_index(0), threads=1)
+
+
 def test_pooled_oracle_probe_still_bites(monkeypatch):
     # flip the hyperfield verdict of the last chunk's first representative,
     # which the probe re-checks: census and classification raise at any
@@ -427,15 +440,19 @@ def test_pooled_oracle_probe_still_bites(monkeypatch):
     verdicts, oracle = Kernels.verdicts, Kernels.axiom_oracle
     calls = []
 
+    def nullsets(ns):
+        return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                for row in ns]
+
     def flipped(self, ns):
         hyper, full4, star = verdicts(self, ns)
-        if len(ns) and bits_to_ints(ns[:1])[0] >= (1 << ns.shape[1]) - lottery._CHUNK:
+        if len(ns) and nullsets(ns[:1])[0] >= (1 << ns.shape[1]) - lottery._CHUNK:
             hyper = hyper.copy()
             hyper[0] = not hyper[0]
         return hyper, full4, star
 
     def recorded(self, ns):
-        calls.append(bits_to_ints(ns).tolist())
+        calls.append(nullsets(ns))
         return oracle(self, ns)
 
     monkeypatch.setattr(Kernels, "verdicts", flipped)
