@@ -1,7 +1,6 @@
 """The four small named hyperfields, their additions and their predicates."""
 
-from hexafield import (field_f2, field_f3, is_4full, is_field,
-                       is_hyperfield_fast, is_zero_over_zero, krasner,
+from hexafield import (field_f2, field_f3, krasner, pasture_verdicts,
                        reconstruct_addition, satisfies_star, sign_hyperfield)
 
 for name, p in [("F2", field_f2()), ("K", krasner()),
@@ -10,10 +9,11 @@ for name, p in [("F2", field_f2()), ("K", krasner()),
     print(f"== {name}  (group {p.group.literal}, eps index {p.unit_index}, "
           f"nullset {p.nullset:#x})")
     print(table.dump_text())
-    print("hyperfield:", is_hyperfield_fast(p),
-          " field:", is_field(p),
-          " 4full:", is_4full(p),
-          " 0/0:", is_zero_over_zero(p),
+    verdicts = pasture_verdicts(p)
+    print("hyperfield:", verdicts["is_hyperfield"],
+          " field:", verdicts["is_field"],
+          " 4full:", verdicts["is_4full"],
+          " 0/0:", verdicts["is_00"],
           " star:", satisfies_star(p))
     print()
 

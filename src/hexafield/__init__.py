@@ -3,7 +3,8 @@ they reconstruct: enumeration, sampling, censuses, quotient recognition,
 products, and the non-commutative orbit counts.
 """
 
-from .batch import EVENT_NAMES, Kernels, ints_to_bits, kernels_for
+from .batch import (EVENT_NAMES, Kernels, ints_to_bits, kernels_for,
+                    pasture_verdicts)
 from .errors import CapacityError
 from .galois import (FiniteField, QuotientSpec, QuotientVerdict, build_field,
                      factor_prime_power, is_quotient_of_finite_field,
@@ -17,10 +18,9 @@ from .lottery import (Census, ClassRow, Estimate, LotterySpec, census,
 from .morphisms import (CanonicalForm, are_isomorphic, canonical_form,
                         is_morphism, pasture_automorphisms)
 from .pastures import (AdditionTable, Pasture, all_pastures, axiom_oracle,
-                       fetvins_exhaustive, field_f2, field_f3, is_4full,
-                       is_field, is_hyperfield_fast, is_zero_over_zero,
-                       krasner, reconstruct_addition, satisfies_star,
-                       sign_hyperfield)
+                       fetvins_exhaustive, field_f2, field_f3,
+                       is_hyperfield_fast, krasner, reconstruct_addition,
+                       satisfies_star, sign_hyperfield)
 from .products import product, product_group, product_theorem_verdict
 from .serialize import (dumps_pasture, load_pasture_file, loads_pasture,
                         pasture_from_dict, pasture_to_dict)
@@ -40,11 +40,11 @@ __all__ = [
     "canonical_form", "census", "class_table", "dihedral", "dumps_pasture",
     "estimate", "factor_prime_power", "fetvins_exhaustive", "field_f2",
     "field_f3", "from_abelian", "hexagon_count_formula",
-    "ints_to_bits", "is_4full", "is_field",
-    "is_hyperfield_fast", "is_morphism", "is_quotient_of_finite_field",
-    "is_zero_over_zero", "kernels_for", "krasner", "load_pasture_file",
-    "loads_pasture", "one_minus_one_is_everything", "pasture_automorphisms",
-    "pasture_from_dict", "pasture_to_dict", "product", "product_group",
+    "ints_to_bits", "is_hyperfield_fast", "is_morphism",
+    "is_quotient_of_finite_field", "kernels_for", "krasner",
+    "load_pasture_file", "loads_pasture", "one_minus_one_is_everything",
+    "pasture_automorphisms", "pasture_from_dict", "pasture_to_dict",
+    "pasture_verdicts", "product", "product_group",
     "product_theorem_verdict", "quaternion_8",
     "quotient_hyperfield", "reconstruct_addition", "sample_bits",
     "sample_pasture", "satisfies_star", "sign_hyperfield", "skew_axiom_oracle",

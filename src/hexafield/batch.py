@@ -6,7 +6,9 @@ vector of per-sample verdicts; `verdicts` returns three (hyperfield, 4-full,
 star) from one walk of the block.  The fast predicates are first-order tests
 on the nullset; `axiom_oracle`, their independent judge, is the brute-force
 axiom check of pastures.py: it serves every group table and row count, so
-the scalar and skew oracles run the same code.
+the scalar and skew oracles run the same code.  `pasture_verdicts` reads one
+pasture's hyperfield, field, 0/0 and 4-full verdicts from one row: the
+package has no other copy of them.
 """
 
 from __future__ import annotations
@@ -255,15 +257,22 @@ def kernels_for(group: AbelianGroup, unit_index: int) -> Kernels:
     return Kernels(group, unit_index)
 
 
-def pasture_is_hyperfield(pasture: Pasture) -> bool:
-    """The kernels' hyperfield verdict on one pasture.  It has no order cap,
-    and it costs one kernel row where `is_hyperfield_fast` visits every pair
-    of selected pairs in Python.  A one-off verdict builds its own `Kernels`
-    (a Pasture's unit is self-inverse) instead of filling `kernels_for`'s
-    cache with every group it meets; `quotient_hyperfield`, which checks
-    many fields on one group, keeps its cached kernels."""
+def pasture_verdicts(pasture: Pasture) -> dict[str, bool]:
+    """`check`'s verdicts on one pasture, in its order, from one kernel row:
+    is_hyperfield, is_field, is_00 and is_4full.  The row has no order cap
+    of its own.  A one-off verdict builds its own `Kernels` (a Pasture's
+    unit is self-inverse) instead of filling `kernels_for`'s cache with
+    every group it meets; `quotient_hyperfield`, which checks many fields
+    on one group, keeps its cached kernels."""
     kernels = Kernels(pasture.group, pasture.unit_index)
-    return bool(kernels.is_hyperfield(_nullset_row(pasture.nullset, kernels.n_hex))[0])
+    row = _nullset_row(pasture.nullset, kernels.n_hex)
+    hyper, full4, _ = (bool(v[0]) for v in kernels.verdicts(row))
+    return {
+        "is_hyperfield": hyper,
+        "is_field": hyper and not kernels.one_plus_minus_one(row).any(),
+        "is_00": bool(kernels.is_zero_over_zero(row)[0]),
+        "is_4full": full4,
+    }
 
 
 def ints_to_bits(values: np.ndarray, width: int) -> np.ndarray:

@@ -11,15 +11,13 @@ import csv
 import json
 import sys
 
-from .batch import pasture_is_hyperfield
+from .batch import pasture_verdicts
 from .errors import CapacityError
 from .galois import (QuotientSpec, build_field, factor_prime_power,
                      is_quotient_of_finite_field, quotient_hyperfield)
 from .groups import AbelianGroup, GroupElement
 from .hexagons import hexagon_count_formula
 from .lottery import EVENT_NAMES, LotterySpec, census, class_table, estimate
-from .pastures import (is_4full, is_field, is_hyperfield_fast,
-                       is_zero_over_zero)
 from .products import product, product_theorem_verdict
 from .serialize import (CENSUS_FIELDS, CLASSIFY_FIELDS, census_to_row,
                         classify_row, dumps_pasture, estimate_to_dict,
@@ -144,15 +142,8 @@ def _cmd_lottery(ns, out):
 
 
 def _cmd_check(ns, out):
-    p = load_pasture_file(ns.pasture)
-    full4 = is_4full(p)  # first: past the oracle cap it raises before the others run
-    bits = [
-        ("is_hyperfield", is_hyperfield_fast(p)),
-        ("is_field", is_field(p)),
-        ("is_00", is_zero_over_zero(p)),
-        ("is_4full", full4),
-    ]
-    out.write(" ".join(f"{k}={str(v).lower()}" for k, v in bits) + "\n")
+    verdicts = pasture_verdicts(load_pasture_file(ns.pasture))
+    out.write(" ".join(f"{k}={str(v).lower()}" for k, v in verdicts.items()) + "\n")
 
 
 def _cmd_quotient(ns, out):
@@ -184,10 +175,11 @@ def _cmd_product(ns, out):
     p1 = load_pasture_file(ns.a)
     p2 = load_pasture_file(ns.b)
     result = product(p1, p2)
-    both_hyper = pasture_is_hyperfield(p1) and pasture_is_hyperfield(p2)
+    verdicts = pasture_verdicts(result)
+    both_hyper = all(pasture_verdicts(p)["is_hyperfield"] for p in (p1, p2))
     extra = {
-        "is_hyperfield": pasture_is_hyperfield(result),
-        "is_00": is_zero_over_zero(result),
+        "is_hyperfield": verdicts["is_hyperfield"],
+        "is_00": verdicts["is_00"],
         "theorem_verdict": product_theorem_verdict(p1, p2) if both_hyper else None,
     }
     out.write(dumps_pasture(result, extra=extra))

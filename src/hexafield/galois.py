@@ -7,7 +7,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .batch import kernels_for
+from .batch import Kernels, kernels_for
 from .errors import CapacityError
 from .groups import AbelianGroup
 from .hexagons import build_table
@@ -262,7 +262,8 @@ class QuotientVerdict:
 
 def one_minus_one_is_everything(pasture: Pasture) -> bool:
     """Does the nonzero part of 1 + (-1) cover the whole group?"""
-    return len(pasture.one_plus_minus_one) == pasture.group.order
+    kernels = Kernels(pasture.group, pasture.unit_index)
+    return bool(kernels.one_plus_minus_one(_nullset_row(pasture.nullset, kernels.n_hex)).all())
 
 
 def is_quotient_of_finite_field(

@@ -9,7 +9,10 @@ over hexagon indices.  Addition is reconstructed from the nullset:
 
 with x + 0 = {x}.  The fast hyperfield test checks two first-order
 conditions over the nullset; the axiom oracle rebuilds the whole addition
-table and verifies every hyperfield axiom by brute force.  One mask builder
+table and verifies every hyperfield axiom by brute force.  These scalar
+tests and `satisfies_star` are references for the batch kernels; the field,
+0/0 and 4-full verdicts of one pasture are a kernel row
+(`batch.pasture_verdicts`) and have no scalar copy.  One mask builder
 and one axiom check serve every group table, commutative or not, and any
 number of nullset rows: `axiom_oracle` passes one row, `Kernels.axiom_oracle`
 a batch, and the skew oracle a Cayley table.
@@ -90,15 +93,6 @@ class Pasture:
             tuple(bool((ns >> int(p2h[x, y])) & 1) for y in range(n)) for x in range(n)
         )
 
-    @cached_property
-    def one_plus_minus_one(self) -> tuple[int, ...]:
-        """The nonzero elements of 1 + (-1), as element indices: each z whose
-        triple (1, unit, unit*z) is selected."""
-        eps = self.unit_index
-        # the identity has the all-zero residue vector, hence index 0
-        hexes = self.hex_table.triple_to_hex[0, eps, self.group.mul_array[eps]]
-        return tuple(z for z, h in enumerate(hexes.tolist()) if self.has_hex(h))
-
 
 # -- named tiny pastures ---------------------------------------------------
 
@@ -147,13 +141,6 @@ class AdditionTable:
     def sum_set(self, a: int, b: int) -> frozenset[int]:
         m = self.masks[a][b]
         return frozenset(i for i in range(self.carrier_size) if (m >> i) & 1)
-
-    @cached_property
-    def carrier_negation(self) -> tuple[int, ...]:
-        """Carrier permutation sending a to unit*a (0 maps to 0)."""
-        m = self.group.mul_array
-        e = self.unit.index
-        return (0,) + tuple(int(m[e, x]) + 1 for x in range(self.group.order))
 
     def _label(self, i: int) -> str:
         if i == 0:
@@ -252,12 +239,6 @@ def is_hyperfield_fast(pasture: Pasture) -> bool:
     return True
 
 
-def _check_oracle_order(n: int) -> None:
-    if n > ORACLE_ORDER_CAP:
-        raise CapacityError(f"addition table capped at group order {ORACLE_ORDER_CAP}, "
-                            f"got order {n}")
-
-
 def _axioms_hold(table: np.ndarray, eps: int, triple_to_hex: np.ndarray,
                  ns: np.ndarray) -> np.ndarray:
     """(S,) bool: every hyperfield axiom, by brute force, per nullset row.
@@ -266,7 +247,9 @@ def _axioms_hold(table: np.ndarray, eps: int, triple_to_hex: np.ndarray,
     left and right multiplication differ.
     """
     n = len(table)
-    _check_oracle_order(n)
+    if n > ORACLE_ORDER_CAP:
+        raise CapacityError(f"addition table capped at group order {ORACLE_ORDER_CAP}, "
+                            f"got order {n}")
     big = n + 1
     s = len(ns)
     b = _carrier_masks(table, eps, triple_to_hex, ns)
@@ -300,11 +283,6 @@ def axiom_oracle(pasture: Pasture) -> bool:
                              _nullset_row(pasture.nullset, table.size))[0])
 
 
-def is_field(pasture: Pasture) -> bool:
-    """A hyperfield is a field exactly when 1 + (-1) = {0}."""
-    return not pasture.one_plus_minus_one and is_hyperfield_fast(pasture)
-
-
 def satisfies_star(pasture: Pasture) -> bool:
     """For all x, y, z, w some t has (tx, ty) and (tz, tw) both selected.
 
@@ -329,28 +307,6 @@ def satisfies_star(pasture: Pasture) -> bool:
                 if not head[a] & tail:
                     return False
     return True
-
-
-def is_4full(pasture: Pasture) -> bool:
-    """0 lies in every four-fold sum of nonzero elements (and P is not F2)."""
-    g = pasture.group
-    if g.order == 1 and pasture.nullset == 0:
-        return False
-    _check_oracle_order(g.order)
-    table = reconstruct_addition(pasture)
-    neg = np.array(table.carrier_negation)
-    # member[c, d, s]: is s in c + d
-    member = (np.array(table.masks)[..., None] >> np.arange(table.carrier_size)) & 1 == 1
-    # translation-normalized: a = 1; for all b, c, d != 0 some s in 1 + b has -s in c + d
-    return bool((member[1, 1:, None, None] & member[None, 1:, 1:][..., neg]).any(-1).all())
-
-
-def is_zero_over_zero(pasture: Pasture) -> bool:
-    """Every x is a ratio r/s of nonzero elements of 1 + (-1)."""
-    g = pasture.group
-    s_set = pasture.one_plus_minus_one
-    m, inv = g.mul_array.tolist(), g.inv_array.tolist()
-    return len({m[r][inv[s]] for r in s_set for s in s_set}) == g.order
 
 
 def all_pastures(group: AbelianGroup, unit: GroupElement):

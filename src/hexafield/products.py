@@ -7,13 +7,13 @@ from math import prod
 
 import numpy as np
 
-from .batch import pasture_is_hyperfield
+from .batch import pasture_verdicts
 from .errors import CapacityError
 from .galois import _prime_factors
 from .groups import AbelianGroup
 from .hexagons import TABLE_ORDER_CAP, build_table
 from .morphisms import is_morphism
-from .pastures import Pasture, is_zero_over_zero
+from .pastures import Pasture
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
@@ -121,10 +121,10 @@ def product_theorem_verdict(h1: Pasture, h2: Pasture) -> bool:
     True exactly when both are 0/0, or either collapses to the one-element
     group with everything null, or both are that group with nothing null.
     """
-    for h in (h1, h2):
-        if not pasture_is_hyperfield(h):
-            raise ValueError("verdict applies to hyperfields only")
-    if is_zero_over_zero(h1) and is_zero_over_zero(h2):
+    verdicts = [pasture_verdicts(h) for h in (h1, h2)]
+    if not all(v["is_hyperfield"] for v in verdicts):
+        raise ValueError("verdict applies to hyperfields only")
+    if all(v["is_00"] for v in verdicts):
         return True
     if _is_krasner_like(h1) or _is_krasner_like(h2):
         return True

@@ -4,6 +4,8 @@ import io
 import itertools
 from time import perf_counter
 
+import oracles
+
 from hexafield.batch import kernels_for
 from hexafield.cli import run
 from hexafield.galois import (QuotientSpec, build_field, factor_prime_power,
@@ -14,8 +16,7 @@ from hexafield.hexagons import build_table, hexagon_count_formula
 from hexafield.lottery import census, sample_bits, wilson_interval
 from hexafield.morphisms import are_isomorphic, pasture_automorphisms
 from hexafield.pastures import (all_pastures, axiom_oracle, fetvins_exhaustive,
-                                field_f2, field_f3, is_4full,
-                                is_hyperfield_fast, is_zero_over_zero, krasner,
+                                field_f2, field_f3, is_hyperfield_fast, krasner,
                                 reconstruct_addition, satisfies_star,
                                 sign_hyperfield)
 from hexafield.products import product, product_theorem_verdict
@@ -88,7 +89,8 @@ def test_criterion_03_star_equivalence():
             for p in all_pastures(g, unit):
                 if not is_hyperfield_fast(p):
                     continue
-                assert satisfies_star(p) == (is_4full(p) and is_zero_over_zero(p)), \
+                assert satisfies_star(p) == (oracles.is_4full(p)
+                                             and oracles.is_zero_over_zero(p)), \
                     (g.literal, unit.index, p.nullset)
                 checked += 1
     for g, unit, kernels, bits in random_panel():
@@ -225,8 +227,8 @@ def test_criterion_07_product_theorem():
             result = product(h1, h2)
             assert product_theorem_verdict(h1, h2) == is_hyperfield_fast(result), \
                 (h1, h2)
-            if is_zero_over_zero(h1) and is_zero_over_zero(h2):
-                assert is_zero_over_zero(result)
+            if oracles.is_zero_over_zero(h1) and oracles.is_zero_over_zero(h2):
+                assert oracles.is_zero_over_zero(result)
     print("criterion 07: PASS  verdict == reality on all 256 ordered pairs")
 
 
@@ -235,8 +237,8 @@ def test_criterion_08_fetvins():
     for g in groups_of_order_up_to(4):
         for unit in every_unit(g):
             for p in all_pastures(g, unit):
-                if not (is_hyperfield_fast(p) and is_4full(p)
-                        and is_zero_over_zero(p)):
+                if not (is_hyperfield_fast(p) and oracles.is_4full(p)
+                        and oracles.is_zero_over_zero(p)):
                     continue
                 table = reconstruct_addition(p)
                 assert fetvins_exhaustive(table, 1), (g.literal, unit.index, p.nullset)

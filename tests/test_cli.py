@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from hexafield import cli, galois, lottery, products, skew
-from hexafield.batch import kernels_for
+from hexafield import galois, lottery, skew
+from hexafield.batch import Kernels, kernels_for
 from hexafield.cli import run
 from hexafield.galois import QuotientSpec, build_field, quotient_hyperfield
-from hexafield.groups import AbelianGroup
-from hexafield.hexagons import build_table
-from hexafield.pastures import ORACLE_ORDER_CAP, Pasture, field_f3, krasner, sign_hyperfield
+from hexafield.groups import AbelianGroup, abelian_groups_up_to
+from hexafield.hexagons import TABLE_ORDER_CAP, build_table
+from hexafield.pastures import (ORACLE_ORDER_CAP, Pasture, _nullset_row, all_pastures, field_f3,
+                                krasner, sign_hyperfield)
 from hexafield.serialize import dumps_pasture, loads_pasture
 
 
@@ -73,17 +74,54 @@ def test_check_output_is_exact(tmp_path):
         "is_hyperfield=true is_field=true is_00=false is_4full=false\n"
 
 
-def test_check_past_the_oracle_cap_exits_2_before_any_predicate(tmp_path, monkeypatch, capsys):
-    def no_predicate(*args):
-        raise AssertionError("a predicate ran before the oracle cap check")
+def test_check_lines_pinned(tmp_path):
+    # every pasture of order <= 5 at every unit, and 50 seed-7 draws at every
+    # unit of each group of order 6 to 9; the digest of the lines is the one
+    # `check` printed at commit 47d1ab6, from the scalar predicates
+    pastures = []
+    for g in abelian_groups_up_to(9):
+        for unit in g.units_of_order_le_2():
+            if g.order <= 5:
+                pastures.extend(all_pastures(g, unit))
+            else:
+                spec = lottery.LotterySpec(g, unit, 7, 50)
+                pastures.extend(lottery.sample_pasture(spec, i) for i in range(50))
+    assert len(pastures) == 1296
+    lines = [invoke("check", "--pasture", write_pasture(tmp_path, p, "p.json"))
+             for p in pastures]
+    assert {code for code, _ in lines} == {0}
+    assert hashlib.sha256("".join(text for _, text in lines).encode()).hexdigest() == \
+        "44c7a1215ae226825f8e5ddf1b1f06ffa3850b07909d3736a891e239c5005089"
 
-    z64 = AbelianGroup.from_literal("Z64")
-    path = write_pasture(tmp_path, lottery.sample_pasture(
-        lottery.LotterySpec(z64, z64.element_by_index(0), 1, 1), 0), "z64.json")
-    monkeypatch.setattr(cli, "is_hyperfield_fast", no_predicate)
-    assert invoke("check", "--pasture", path) == (2, "")
+
+def test_check_runs_up_to_the_table_cap(tmp_path):
+    # one kernel row has no oracle cap; the line is that row's verdicts
+    for lit in ["Z64", "Z8xZ8"]:
+        g = AbelianGroup.from_literal(lit)
+        for unit in g.units_of_order_le_2()[:2]:
+            p = lottery.sample_pasture(lottery.LotterySpec(g, unit, 1, 1), 0)
+            kernels = Kernels(g, unit.index)
+            row = _nullset_row(p.nullset, kernels.n_hex)
+            hyper, full4, _ = kernels.verdicts(row)
+            field = hyper & ~kernels.one_plus_minus_one(row).any(axis=1)
+            want = [("is_hyperfield", hyper), ("is_field", field),
+                    ("is_00", kernels.is_zero_over_zero(row)), ("is_4full", full4)]
+            line = " ".join(f"{k}={str(bool(v[0])).lower()}" for k, v in want) + "\n"
+            path = write_pasture(tmp_path, p, f"{lit}-{unit.index}.json")
+            assert invoke("check", "--pasture", path) == (0, line), (lit, unit.index)
+
+
+def test_check_past_the_table_cap_exits_2_before_any_kernel(tmp_path, monkeypatch, capsys):
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran before the table cap check")
+
+    monkeypatch.setattr(Kernels, "verdicts", no_kernel)
+    path = tmp_path / "z65.json"
+    path.write_text(json.dumps({"group": "Z65", "epsilon": [0], "nullset": [[[0], [1]]]}),
+                    encoding="utf-8")
+    assert invoke("check", "--pasture", str(path)) == (2, "")
     assert capsys.readouterr().err == \
-        f"error: addition table capped at group order {ORACLE_ORDER_CAP}, got order 64\n"
+        f"error: hexagon table capped at group order {TABLE_ORDER_CAP}, Z65 has order 65\n"
 
 
 def test_census_csv_shape():
@@ -226,8 +264,9 @@ def test_product_runs_no_scalar_hyperfield_check(tmp_path, monkeypatch):
     def scalar(*args):
         raise AssertionError("the scalar hyperfield check ran")
 
-    monkeypatch.setattr(cli, "is_hyperfield_fast", scalar)
-    monkeypatch.setattr(products, "is_hyperfield_fast", scalar, raising=False)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hexafield.") and hasattr(mod, "is_hyperfield_fast"):
+            monkeypatch.setattr(mod, "is_hyperfield_fast", scalar)
 
     def full(lit):
         g = AbelianGroup.from_literal(lit)

@@ -3,8 +3,10 @@ import itertools
 import json
 
 import numpy as np
+import oracles
 import pytest
 
+from hexafield.batch import Kernels, ints_to_bits
 from hexafield.errors import CapacityError
 from hexafield.galois import one_minus_one_is_everything
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
@@ -12,8 +14,7 @@ from hexafield.hexagons import build_table
 from hexafield.lottery import sample_bits
 from hexafield.pastures import (Pasture, all_pastures, axiom_oracle,
                                 fetvins_exhaustive, field_f2, field_f3,
-                                is_4full, is_field, is_hyperfield_fast,
-                                is_zero_over_zero, krasner,
+                                is_hyperfield_fast, krasner,
                                 reconstruct_addition, satisfies_star,
                                 sign_hyperfield)
 
@@ -93,7 +94,7 @@ def test_negation_membership():
     for g, unit in small_cases(4):
         for p in all_pastures(g, unit):
             table = reconstruct_addition(p)
-            neg = table.carrier_negation
+            neg = [0] + [int(g.mul_array[unit.index, x]) + 1 for x in range(g.order)]
             for a in range(table.carrier_size):
                 for b in range(table.carrier_size):
                     assert (table.masks[a][b] & 1 != 0) == (neg[a] == b)
@@ -107,16 +108,16 @@ def test_fast_check_equals_oracle_small():
 
 
 def test_known_predicates():
-    assert is_field(field_f2()) and is_field(field_f3())
-    assert not is_field(krasner()) and not is_field(sign_hyperfield())
+    assert oracles.is_field(field_f2()) and oracles.is_field(field_f3())
+    assert not oracles.is_field(krasner()) and not oracles.is_field(sign_hyperfield())
     assert is_hyperfield_fast(krasner())
     assert satisfies_star(krasner())
     assert not satisfies_star(sign_hyperfield())
-    assert is_zero_over_zero(sign_hyperfield())
-    assert not is_4full(sign_hyperfield())
-    assert is_4full(krasner())
-    assert not is_4full(field_f2())  # excluded by definition
-    assert not is_zero_over_zero(field_f3())
+    assert oracles.is_zero_over_zero(sign_hyperfield())
+    assert not oracles.is_4full(sign_hyperfield())
+    assert oracles.is_4full(krasner())
+    assert not oracles.is_4full(field_f2())  # excluded by definition
+    assert not oracles.is_zero_over_zero(field_f3())
 
 
 def test_star_iff_4full_and_zero_over_zero():
@@ -124,14 +125,14 @@ def test_star_iff_4full_and_zero_over_zero():
         for p in all_pastures(g, unit):
             if not is_hyperfield_fast(p):
                 continue
-            assert satisfies_star(p) == (is_4full(p) and is_zero_over_zero(p)), p
+            assert satisfies_star(p) == (oracles.is_4full(p) and oracles.is_zero_over_zero(p)), p
 
 
 def test_weak_sign_is_star():
     g = AbelianGroup.from_literal("Z2")
     weak = Pasture(g, g.element((1,)), 0b11)
     assert is_hyperfield_fast(weak)
-    assert is_4full(weak) and is_zero_over_zero(weak) and satisfies_star(weak)
+    assert oracles.is_4full(weak) and oracles.is_zero_over_zero(weak) and satisfies_star(weak)
 
 
 def test_all_pastures_count():
@@ -163,7 +164,7 @@ def test_fetvins_on_knowns():
 def test_fields_are_single_valued():
     for g, unit in small_cases(3):
         for p in all_pastures(g, unit):
-            if not is_hyperfield_fast(p) or not is_field(p):
+            if not oracles.is_field(p):
                 continue
             table = reconstruct_addition(p)
             for a, b in itertools.product(range(table.carrier_size), repeat=2):
@@ -171,11 +172,13 @@ def test_fields_are_single_valued():
 
 
 def test_one_plus_minus_one_is_the_table_sum():
-    # the cached set is the nonzero part of 1 + (-1) in the rebuilt addition
+    # the kernels' row is the nonzero part of 1 + (-1) in the rebuilt addition
     for g, unit in small_cases(5):
-        for p in all_pastures(g, unit):
-            row = reconstruct_addition(p).sum_set(1, unit.index + 1)
-            assert p.one_plus_minus_one == tuple(sorted(i - 1 for i in row if i)), p
+        width = build_table(g).size
+        got = Kernels(g, unit.index).one_plus_minus_one(ints_to_bits(np.arange(1 << width), width))
+        for p, row in zip(all_pastures(g, unit), got, strict=True):
+            mask = oracles.one_plus_minus_one(p)
+            assert row.tolist() == [bool(mask >> (z + 1) & 1) for z in range(g.order)], p
 
 
 def test_predicates_are_pinned_up_to_order_6():
@@ -185,7 +188,7 @@ def test_predicates_are_pinned_up_to_order_6():
     for g, unit in small_cases(6):
         for p in all_pastures(g, unit):
             record = [g.literal, unit.index, p.nullset, reconstruct_addition(p).masks,
-                      is_field(p), is_zero_over_zero(p), is_4full(p),
+                      oracles.is_field(p), oracles.is_zero_over_zero(p), oracles.is_4full(p),
                       one_minus_one_is_everything(p)]
             digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == \
