@@ -12,7 +12,7 @@ from .errors import CapacityError
 from .groups import AbelianGroup
 from .hexagons import build_table
 from .morphisms import are_isomorphic
-from .pastures import Pasture, _nullset_row
+from .pastures import Pasture, _nullset_row, _row_nullset
 
 FIELD_SIZE_CAP = 10 ** 6
 DECIDER_ORDER_CAP = 9
@@ -235,19 +235,14 @@ def quotient_hyperfield(spec: QuotientSpec) -> Pasture:
     keep = b_ids != 0
     sel = np.zeros((n, n), dtype=bool)
     sel[cls[a_ids[keep]], cls[b_ids[keep]]] = True
-
-    bits = 0
-    for h, members in enumerate(table.members):
-        vals = {bool(sel[u, v]) for u, v in members}
-        if len(vals) != 1:
-            raise AssertionError("coset sum relation must be constant on a hexagon")
-        if vals.pop():
-            bits |= 1 << h
+    row = np.zeros(table.size, dtype=bool)
+    row[table.pair_to_hex[sel]] = True
+    if (row[table.pair_to_hex] != sel).any():
+        raise AssertionError("coset sum relation must be constant on a hexagon")
     eps = group.element_by_index(int(cls[fld.neg_one]))
-    pasture = Pasture(group, eps, bits)
-    if not kernels_for(group, eps.index).is_hyperfield(_nullset_row(bits, table.size))[0]:
+    if not kernels_for(group, eps.index).is_hyperfield(row[None])[0]:
         raise AssertionError("a finite-field quotient must be a hyperfield")
-    return pasture
+    return Pasture(group, eps, _row_nullset(row))
 
 
 @dataclass(frozen=True)

@@ -43,14 +43,17 @@ def pair_images(group, u: int, v: int) -> tuple[tuple[int, int], ...]:
     return ((u, v), (v, u), (uv, iv), (iv, uv), (vu, iu), (iu, vu))
 
 
+def _count_formula(n: int, third_roots: int) -> tuple[int, int]:
+    """(n^2 + 3n + 2 #G[3]) divmod 6 for a commutative group of order n."""
+    return divmod(n * n + 3 * n + 2 * third_roots, 6)
+
+
 def hexagon_count_formula(group: AbelianGroup) -> int:
     """#hexagons = (n^2 + 3n + 2 #G[3]) / 6, without building the table."""
-    n = group.order
-    t3 = group.torsion_count(3)
-    total = n * n + 3 * n + 2 * t3
-    if total % 6 != 0:
+    count, rem = _count_formula(group.order, group.torsion_count(3))
+    if rem:
         raise AssertionError(f"hexagon count formula is not integral for {group.literal}")
-    return total // 6
+    return count
 
 
 @dataclass(frozen=True)
@@ -119,7 +122,7 @@ def orbit_table(group) -> HexagonTable:
         # commutative: the count must be (n^2 + 3n + 2 #G[3]) / 6
         one = m[0][inv[0]]
         third_roots = sum(1 for x in range(n) if m[m[x][x]][x] == one)
-        expected, rem = divmod(n * n + 3 * n + 2 * third_roots, 6)
+        expected, rem = _count_formula(n, third_roots)
         if rem or len(reps) != expected:
             raise AssertionError(
                 f"{len(reps)} hexagons on a commutative group of order {n} "

@@ -14,7 +14,7 @@ from .batch import EVENT_NAMES, ints_to_bits, kernels_for
 from .errors import CapacityError
 from .groups import AbelianGroup, GroupElement
 from .hexagons import build_table
-from .pastures import ORACLE_ORDER_CAP, Pasture
+from .pastures import ORACLE_ORDER_CAP, Pasture, _row_nullset
 
 WILSON_Z = 1.959963984540054  # 97.5th percentile of the standard normal
 CENSUS_HEX_CAP = 22
@@ -148,8 +148,8 @@ def sample_pasture(spec: LotterySpec, index: int) -> Pasture:
     if not 0 <= index < spec.samples:
         raise ValueError(f"sample index {index} outside [0, {spec.samples})")
     width = build_table(spec.group).size
-    row = np.packbits(sample_bits(spec.seed, index, index + 1, width), bitorder="little")
-    return Pasture(spec.group, spec.unit, int.from_bytes(row.tobytes(), "little"))
+    row = sample_bits(spec.seed, index, index + 1, width)[0]
+    return Pasture(spec.group, spec.unit, _row_nullset(row))
 
 
 def wilson_interval(successes: int, samples: int) -> tuple[float, float]:

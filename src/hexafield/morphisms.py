@@ -19,7 +19,7 @@ import numpy as np
 from .groups import (AbelianGroup, GroupAutomorphism, _automorphisms,
                      _check_multiplicative, automorphisms_fixing)
 from .hexagons import HexagonTable
-from .pastures import Pasture, _nullset_row
+from .pastures import Pasture, _nullset_row, _row_nullset
 
 
 def is_morphism(images, src: Pasture, dst: Pasture) -> bool:
@@ -32,12 +32,8 @@ def is_morphism(images, src: Pasture, dst: Pasture) -> bool:
     _check_multiplicative(images, src.group, dst.group)
     if images[src.unit_index] != dst.unit_index:
         return False
-    st, dt = src.hex_table, dst.hex_table
-    for h in src.hex_ids():
-        u, v = st.reps[h]
-        if not dst.has_hex(dt.hex_of_pair(images[u], images[v])):
-            return False
-    return True
+    # a multiplicative map sends every member of a hexagon into one hexagon
+    return bool(dst.pair_selection[np.ix_(images, images)][src.pair_selection].all())
 
 
 def hexagon_permutations(table: HexagonTable, images) -> np.ndarray:
@@ -79,9 +75,10 @@ def canonical_form(pasture: Pasture) -> CanonicalForm:
     """Minimal nullset bitset over unit-preserving automorphisms."""
     autos = automorphisms_fixing(pasture.group, pasture.unit_index)
     # f and f^-1 both fix the unit, so the preimages are the images
-    packed = np.packbits(_preimages(pasture, autos), axis=1, bitorder="little")
+    rows = _preimages(pasture, autos)
+    packed = np.packbits(rows, axis=1, bitorder="little")
     # lexsort's last key is its primary one, and the last byte is the most significant
-    best = int.from_bytes(packed[np.lexsort(packed.T)[0]].tobytes(), "little")
+    best = _row_nullset(rows[np.lexsort(packed.T)[0]])
     return CanonicalForm(pasture.group, pasture.unit_index, best)
 
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 
 import numpy as np
 
@@ -62,8 +63,13 @@ class Pasture:
     def hex_ids(self) -> tuple[int, ...]:
         return tuple(h for h in range(self.hex_table.size) if (self.nullset >> h) & 1)
 
-    def has_hex(self, hid: int) -> bool:
-        return bool((self.nullset >> hid) & 1)
+    @cached_property
+    def pair_selection(self) -> np.ndarray:
+        """(n, n) read-only bool: is the hexagon of the pair (x, y) selected."""
+        table = self.hex_table
+        sel = _nullset_row(self.nullset, table.size)[0][table.pair_to_hex]
+        sel.setflags(write=False)
+        return sel
 
     @classmethod
     def from_pairs(cls, group: AbelianGroup, unit: GroupElement, pairs) -> "Pasture":
@@ -78,19 +84,6 @@ class Pasture:
         return (
             f"Pasture({self.group.literal}, unit={self.unit!r}, "
             f"hexagons={{{','.join(map(str, self.hex_ids()))}}})"
-        )
-
-    # -- index-level views used by every predicate below -------------------
-
-    @cached_property
-    def _in_nullset(self) -> tuple[tuple[bool, ...], ...]:
-        """(n, n) bool: is the hexagon of pair (x, y) selected."""
-        t = self.hex_table
-        ns = self.nullset
-        n = self.group.order
-        p2h = t.pair_to_hex
-        return tuple(
-            tuple(bool((ns >> int(p2h[x, y])) & 1) for y in range(n)) for x in range(n)
         )
 
 
@@ -163,10 +156,18 @@ class AdditionTable:
         )
 
 
+# -- the nullset layout: bit h of the bitset is entry h of a bool row, and
+# the pair (x, y) reads entry pair_to_hex[x, y] (`Pasture.pair_selection`)
+
 def _nullset_row(nullset: int, size: int) -> np.ndarray:
     """(1, size) bool row of a nullset bitset of any width."""
     raw = np.frombuffer(nullset.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=size, bitorder="little").astype(bool)[None]
+
+
+def _row_nullset(row: np.ndarray) -> int:
+    """The nullset bitset of a 1-D bool row: the inverse of `_nullset_row`."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def _carrier_masks(table: np.ndarray, eps: int, triple_to_hex: np.ndarray,
@@ -212,7 +213,7 @@ def is_hyperfield_fast(pasture: Pasture) -> bool:
     n = g.order
     m = g.mul_array
     eps = pasture.unit_index
-    sel = pasture._in_nullset
+    sel = pasture.pair_selection.tolist()
     for x in range(n):
         if x == eps:
             continue
@@ -292,7 +293,7 @@ def satisfies_star(pasture: Pasture) -> bool:
     g = pasture.group
     n = g.order
     m = g.mul_array
-    sel = pasture._in_nullset
+    sel = pasture.pair_selection.tolist()
     # mask over u of "pair (u, ua) selected", per a
     head = [sum(1 << u for u in range(n) if sel[u][int(m[u, a])]) for a in range(n)]
     for bq in range(n):
@@ -340,6 +341,8 @@ def _row_sum_mask(table: AdditionTable, row, xs) -> int:
 
 
 def _check_fetvins_size(table: AdditionTable, m: int) -> None:
+    if m < 1:
+        raise ValueError(f"a linear system needs at least one equation, got m = {m}")
     if m > FETVINS_M_CAP:
         raise CapacityError(f"linear system solving capped at m = {FETVINS_M_CAP}, got m = {m}")
     if table.carrier_size > FETVINS_CARRIER_CAP:
@@ -358,18 +361,12 @@ def fetvins_exhaustive(table: AdditionTable, m: int) -> bool:
     vectors = [xs for xs in itertools.product(range(big), repeat=m + 1) if any(xs)]
     # solutions-of-row bitmask over the vector list, then systems are
     # intersections of row masks
-    row_masks: dict[tuple[int, ...], int] = {}
+    rows = []
     for row in itertools.product(range(big), repeat=m + 1):
         acc = 0
         for k, xs in enumerate(vectors):
             if _row_sum_mask(table, row, xs) & 1:
                 acc |= 1 << k
-        row_masks[row] = acc
-    rows = list(row_masks.values())
-    if m == 1:
-        return all(mask for mask in rows)
-    for i, ma in enumerate(rows):
-        for mb in rows[i:]:
-            if not ma & mb:
-                return False
-    return True
+        rows.append(acc)
+    return all(reduce(and_, system)
+               for system in itertools.combinations_with_replacement(rows, m))

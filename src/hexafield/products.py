@@ -13,7 +13,7 @@ from .galois import _prime_factors
 from .groups import AbelianGroup
 from .hexagons import TABLE_ORDER_CAP, build_table
 from .morphisms import is_morphism
-from .pastures import Pasture
+from .pastures import Pasture, _row_nullset
 
 
 def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
@@ -77,32 +77,25 @@ def product_group(g1: AbelianGroup, g2: AbelianGroup):
 
 
 def product(p1: Pasture, p2: Pasture) -> Pasture:
-    """Pasture on the product group whose relations pair up factor relations."""
+    """Pasture on the product group whose relations pair up factor relations.
+
+    The pair ((u1, u2), (v1, v2)) is selected exactly when (u1, v1) is
+    selected in p1 and (u2, v2) in p2; its hexagon joins the nullset.
+    """
     if p1.group.order * p2.group.order > TABLE_ORDER_CAP:
         raise CapacityError(
             f"product order {p1.group.order * p2.group.order} exceeds cap {TABLE_ORDER_CAP}")
     group, embed = product_group(p1.group, p2.group)
-    t1 = build_table(p1.group)
-    t2 = build_table(p2.group)
     table = build_table(group)
-    bits = 0
-    for h1 in p1.hex_ids():
-        for u1, v1 in t1.members[h1]:
-            for h2 in p2.hex_ids():
-                for u2, v2 in t2.members[h2]:
-                    pair_u = int(embed[u1, u2])
-                    pair_v = int(embed[v1, v2])
-                    bits |= 1 << table.hex_of_pair(pair_u, pair_v)
+    both = p1.pair_selection[:, None, :, None] & p2.pair_selection[None, :, None, :]
+    row = np.zeros(table.size, dtype=bool)
+    row[table.pair_to_hex[embed[:, :, None, None], embed[None, None]][both]] = True
     unit = group.element_by_index(int(embed[p1.unit_index, p2.unit_index]))
-    result = Pasture(group, unit, bits)
+    result = Pasture(group, unit, _row_nullset(row))
     # projections must be pasture morphisms
-    proj1 = [0] * group.order
-    proj2 = [0] * group.order
-    for i1 in range(p1.group.order):
-        for i2 in range(p2.group.order):
-            proj1[embed[i1, i2]] = i1
-            proj2[embed[i1, i2]] = i2
-    if not (is_morphism(tuple(proj1), result, p1) and is_morphism(tuple(proj2), result, p2)):
+    proj1, proj2 = np.empty((2, group.order), dtype=np.int64)
+    proj1[embed], proj2[embed] = np.indices(embed.shape)
+    if not (is_morphism(proj1, result, p1) and is_morphism(proj2, result, p2)):
         raise AssertionError("projections must be pasture morphisms")
     return result
 

@@ -532,7 +532,7 @@ def test_reconstructed_masks_follow_the_pair_rule():
                         want = a - 1 == m[e][b - 1]
                     else:
                         r = inv[m[e][c - 1]]
-                        want = p.has_hex(p2h[m[a - 1][r]][m[b - 1][r]])
+                        want = (p.nullset >> p2h[m[a - 1][r]][m[b - 1][r]]) & 1
                     assert (masks[a][b] >> c) & 1 == want, (lit, e, p.nullset, a, b, c)
 
 

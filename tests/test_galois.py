@@ -11,6 +11,7 @@ from hexafield.galois import (DECIDER_ORDER_CAP, FIELD_SIZE_CAP, QuotientSpec,
 from hexafield.groups import AbelianGroup
 from hexafield.pastures import (Pasture, axiom_oracle, field_f3, krasner,
                                 sign_hyperfield)
+from hexafield.serialize import dumps_pasture
 
 Z2 = AbelianGroup.from_literal("Z2")
 WEAK_SIGN = Pasture(Z2, Z2.element_by_index(1), 0b11)
@@ -104,6 +105,24 @@ def test_known_quotients():
     q5 = quotient_hyperfield(QuotientSpec(build_field(5, 1), 2))
     assert (q5.group.literal, q5.unit.index, q5.nullset) == ("Z2", 0, 2)
     assert quotient_hyperfield(QuotientSpec(build_field(7, 1), 2)) == WEAK_SIGN
+
+
+def test_quotients_pinned():
+    # every prime power q <= 1000 and every n <= 16 dividing q - 1
+    digest = hashlib.sha256()
+    count = 0
+    for q in range(2, 1001):
+        pk = factor_prime_power(q)
+        if pk is None:
+            continue
+        f = build_field(*pk)
+        for n in range(1, 17):
+            if (q - 1) % n == 0:
+                digest.update(dumps_pasture(quotient_hyperfield(QuotientSpec(f, n))).encode())
+                count += 1
+    assert count == 1025
+    assert digest.hexdigest() == \
+        "d1bea4b40a420c6b4cf26ad46d7ab8b70ef3aa33a9501307400e30c157531db7"
 
 
 def test_quotient_unit_tracks_sign_of_minus_one():

@@ -12,7 +12,8 @@ from hexafield.galois import one_minus_one_is_everything
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
 from hexafield.lottery import sample_bits
-from hexafield.pastures import (Pasture, all_pastures, axiom_oracle,
+from hexafield.pastures import (Pasture, _nullset_row, _row_nullset,
+                                all_pastures, axiom_oracle,
                                 fetvins_exhaustive, field_f2, field_f3,
                                 is_hyperfield_fast, krasner,
                                 reconstruct_addition, satisfies_star,
@@ -56,6 +57,34 @@ def test_pasture_validation():
 
 def sums(table, a, b):
     return sorted(table.sum_set(a, b))
+
+
+def test_row_nullset_inverts_nullset_row():
+    rng = np.random.default_rng(29)
+    for width in (1, 15, 63, 64, 65, 715):
+        top = (1 << width) - 1
+        randoms = [int.from_bytes(rng.bytes(width // 8 + 1), "little") & top for _ in range(20)]
+        for x in [0, 1, top, 1 << (width - 1), top >> 1, top ^ 1] + randoms:
+            row = _nullset_row(x, width)[0]
+            assert row.shape == (width,)
+            assert _row_nullset(row) == x, (width, x)
+
+
+def test_pair_selection_reads_the_nullset():
+    for g, unit in small_cases(4):
+        p2h = build_table(g).pair_to_hex.tolist()
+        for p in all_pastures(g, unit):
+            sel = p.pair_selection
+            assert sel.shape == (g.order, g.order) and sel.dtype == bool
+            for x, y in itertools.product(range(g.order), repeat=2):
+                assert sel[x, y] == (p.nullset >> p2h[x][y]) & 1, (g.literal, p.nullset, x, y)
+
+
+def test_pair_selection_is_read_only():
+    p = sign_hyperfield()
+    with pytest.raises(ValueError):
+        p.pair_selection[0, 0] = True
+    assert p.pair_selection is p.pair_selection
 
 
 def test_reconstructed_addition_knowns():
@@ -159,6 +188,8 @@ def test_fetvins_on_knowns():
     assert fetvins_exhaustive(s, 1)
     with pytest.raises(CapacityError):
         fetvins_exhaustive(s, 3)
+    with pytest.raises(ValueError):
+        fetvins_exhaustive(s, 0)
 
 
 def test_fields_are_single_valued():

@@ -1,3 +1,5 @@
+import hashlib
+
 import oracles
 import pytest
 
@@ -7,6 +9,7 @@ from hexafield.morphisms import are_isomorphic
 from hexafield.pastures import (Pasture, all_pastures, field_f2, field_f3,
                                 is_hyperfield_fast, krasner, sign_hyperfield)
 from hexafield.products import product, product_group, product_theorem_verdict
+from hexafield.serialize import dumps_pasture
 
 
 def lit(name):
@@ -65,6 +68,19 @@ def test_verdict_matches_reality():
             assert got == actual, (h1, h2)
             if oracles.is_zero_over_zero(h1) and oracles.is_zero_over_zero(h2):
                 assert oracles.is_zero_over_zero(product(h1, h2))
+
+
+def test_products_pinned():
+    # every ordered pair of pastures of order <= 3
+    pastures = [p for g in abelian_groups_up_to(3) for unit in g.units_of_order_le_2()
+                for p in all_pastures(g, unit)]
+    assert len(pastures) == 26
+    digest = hashlib.sha256()
+    for a in pastures:
+        for b in pastures:
+            digest.update(dumps_pasture(product(a, b)).encode())
+    assert digest.hexdigest() == \
+        "5b2efcb037ecf0d7b8045016918b3bce52b603005dcdb33dff482dc4cf0bebdd"
 
 
 def test_verdict_rejects_non_hyperfields():
