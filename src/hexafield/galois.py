@@ -113,12 +113,6 @@ class FiniteField:
             m, gm = m + block, self.mul(gm, gm)
         return digits @ self._pows
 
-    @cached_property
-    def log_table(self) -> np.ndarray:
-        out = np.full(self.q, -1, dtype=np.int64)
-        out[self.exp_table] = np.arange(self.q - 1)
-        return out
-
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ValueError("0 has no multiplicative order")

@@ -51,10 +51,6 @@ class AbelianGroup:
         return len(self.invariant_factors)
 
     @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
-    @property
     def is_cyclic(self) -> bool:
         return len(self.invariant_factors) <= 1
 

@@ -28,9 +28,13 @@ THREAD_CAP = 256
 # Chunks are fixed work units, so the thread count never moves their boundaries.
 # A census chunk is _CHUNK nullsets.  A lottery chunk holds at least _CHUNK_BITS
 # sampled bits and never fewer than _CHUNK rows, so narrow hexagon sets do not
-# spend each chunk on a few hundred numpy calls over tiny arrays.
+# spend each chunk on numpy calls too short for two threads to overlap: two
+# threads drawing 32768-row Z3 chunks from sample_bits ran at 1.52-1.58x one
+# thread's speed, and at 0.99-1.04x on 16384-row chunks (2-vCPU Xeon VM, medians
+# of 7 in each of three runs).  The sampler's nine 32768-word row arrays take
+# 2.25 MiB, about one core's 2 MiB L2.
 _CHUNK = 4096
-_CHUNK_BITS = 1 << 16
+_CHUNK_BITS = 1 << 17
 
 
 def thread_count(threads: int | None = None) -> int:
@@ -86,19 +90,100 @@ _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
+_PHILOX_HALVES = tuple((m & _LO32, m >> _S32) for m in _PHILOX_M)  # (a0, a1) of each
 
 
-def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product a * b, from 32-bit halves.
+def _mulhi(i: int, b: np.ndarray, p: np.ndarray, q: np.ndarray, r: np.ndarray) -> None:
+    """Write the high word of the 128-bit product _PHILOX_M[i] * b into p.
 
-    mid < 2^64: a0*b1 <= 2^64 - 2^33 + 1 and the two added terms are below 2^32.
+    Clobbers b, q and r.  In 32-bit halves a = a1*2^32 + a0 and
+    b = b1*2^32 + b0, s = a1*b0 + (a0*b0 >> 32) and u = a0*b1 + (s mod 2^32)
+    are each at most (2^32 - 1)^2 + 2^32 - 1 < 2^64, and the high word is
+    a1*b1 + (s >> 32) + (u >> 32).
     """
-    a0, a1 = a & _LO32, a >> _S32
-    b0, b1 = b & _LO32, b >> _S32
-    cross = a1 * b0
-    mid = a0 * b1 + ((a0 * b0) >> _S32) + (cross & _LO32)
-    hi = a1 * b1 + (cross >> _S32) + (mid >> _S32)
-    return hi, a * b
+    a0, a1 = _PHILOX_HALVES[i]
+    np.bitwise_and(b, _LO32, out=q)
+    np.right_shift(b, _S32, out=b)
+    np.multiply(q, a0, out=r)
+    np.right_shift(r, _S32, out=r)
+    np.multiply(q, a1, out=q)
+    np.add(q, r, out=q)  # s
+    np.bitwise_and(q, _LO32, out=r)
+    np.right_shift(q, _S32, out=q)
+    np.multiply(b, a0, out=p)
+    np.add(p, r, out=p)  # u
+    np.right_shift(p, _S32, out=p)
+    np.multiply(b, a1, out=b)
+    np.add(p, b, out=p)
+    np.add(p, q, out=p)
+
+
+def _philox_words(seed: int, start: int, rows: int, words: int) -> np.ndarray:
+    """Words [0, words) of the Philox stream of each row, as a (rows, words) array."""
+    m0, m1 = _PHILOX_M
+    blocks = (words + 3) // 4  # 4 words of 64 bits per block
+    k0 = np.uint64(seed % (1 << 64))
+    k1 = np.arange(rows, dtype=np.uint64)[:, None]
+    k1 += np.uint64(start)
+    # The generator bumps its counter before the first block, so block b starts
+    # from (b + 1, 0, 0, 0) in every row and only the key word k1 = i differs
+    # between rows.  Round 0 leaves c0 = k0, c1 = 0 and c3 = lo(M0 (b + 1)), so
+    # round 0's products and round 1's M0 product, of c0 = k0, run on the
+    # blocks + 1 words of `small` only.
+    small = np.append(np.arange(1, blocks + 1, dtype=np.uint64), k0)
+    low = small * m0
+    high = np.empty_like(small)
+    _mulhi(0, small, high, np.empty_like(small), np.empty_like(small))
+    # Every later word is a (rows, blocks) array: c0..c3 hold the state, x and y
+    # are free, each round writes its outputs into x, y and the buffers its
+    # inputs free, and q, r are _mulhi's scratch.
+    c0, c1, c2, c3, x, y, q, r = (np.empty((rows, blocks), dtype=np.uint64)
+                                  for _ in range(8))
+    with np.errstate(over="ignore"):
+        np.bitwise_xor(k1, high[:blocks], out=c2)  # round 0
+        k0 += _PHILOX_W[0]
+        k1 += _PHILOX_W[1]
+        np.multiply(c2, m1, out=c1)  # round 1
+        _mulhi(1, c2, c0, q, r)
+        c0 ^= k0
+        np.bitwise_xor(k1, high[blocks] ^ low[:blocks], out=c2)
+        c3.fill(low[blocks])
+        for rnd in range(2, 9):
+            k0 += _PHILOX_W[0]
+            k1 += _PHILOX_W[1]
+            np.multiply(c2, m1, out=x)
+            if rnd == 8 and words <= 2:
+                # one block and words 0, 1 read: the last round reads only c1, c2
+                _mulhi(0, c0, c2, q, r)
+                c2 ^= c3
+                c2 ^= k1
+                c1 = x
+                break
+            _mulhi(1, c2, y, q, r)
+            y ^= c1
+            y ^= k0
+            np.multiply(c0, m0, out=c1)
+            _mulhi(0, c0, c2, q, r)
+            c2 ^= c3
+            c2 ^= k1
+            c0, c1, c3, x, y = y, x, c1, c0, c3
+        k0 += _PHILOX_W[0]
+        # round 9 writes each word j of block b that is read to column 4b + j
+        out = np.empty((rows, words), dtype=np.uint64)
+        w0, w1, w2, w3 = (out[:, j::4] for j in range(4))
+        np.multiply(c2[:, :w1.shape[1]], m1, out=w1)
+        _mulhi(1, c2, y, q, r)
+        y ^= c1
+        np.bitwise_xor(y, k0, out=w0)
+        full = w2.shape[1]  # blocks whose word 2 is read
+        if full:
+            np.multiply(c0[:, :w3.shape[1]], m0, out=w3)
+            hi = c2[:, :full]
+            _mulhi(0, c0[:, :full], hi, q[:, :full], r[:, :full])
+            hi ^= c3[:, :full]
+            k1 += _PHILOX_W[1]
+            np.bitwise_xor(hi, k1, out=w2)
+    return out
 
 
 def sample_bits(seed: int, start: int, stop: int, width: int) -> np.ndarray:
@@ -111,36 +196,12 @@ def sample_bits(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     """
     if not 0 <= start <= stop <= 1 << 64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got [{start}, {stop})")
-    rows, blocks = stop - start, (width + 255) // 256  # 4 words of 64 bits per block
+    rows = stop - start
     if rows == 0:
         return np.zeros((0, width), dtype=bool)
-    # The generator bumps its counter before the first block, so block b uses
-    # (b + 1, 0, 0, 0) in every row and only the key word k1 = i differs between
-    # rows.  Words start as per-block or scalar values and broadcast, so round 0's
-    # products and round 1's M0 product are never computed per row.
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)
-    c1 = c2 = c3 = np.uint64(0)
-    k0 = np.uint64(seed % (1 << 64))
-    k1 = np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(start)
-    words = (width + 63) // 64
-    # blocks whose words 2 and 3 are read: the M0 product feeds only those
-    full = blocks if words - 4 * (blocks - 1) > 2 else blocks - 1
-    raw = np.empty((rows, blocks, 4), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for r in range(9):
-            if r:
-                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi1, raw[:, :, 1] = _mulhilo(_PHILOX_M[1], c2)
-        raw[:, :, 0] = hi1 ^ c1 ^ k0
-        if full:
-            hi0, raw[:, :full, 3] = _mulhilo(_PHILOX_M[0], c0[:, :full])
-            raw[:, :full, 2] = hi0 ^ c3[:, :full] ^ k1
+    # the sampler's buffers are freed here; only the words that are read remain
+    raw = _philox_words(seed, start, rows, (width + 63) // 64).astype("<u8", copy=False)
     # little-endian bytes put bit h of the row at bit h % 8 of byte h // 8
-    raw = raw.astype("<u8", copy=False).reshape(rows, 4 * blocks)[:, :words]
     return np.unpackbits(raw.view(np.uint8), axis=1, count=width, bitorder="little").view(bool)
 
 

@@ -75,12 +75,29 @@ def test_sampler_matches_numpy_philox():
 
 
 def test_sampler_split_is_invisible():
-    for width in [4, 257]:
-        whole = sample_bits(5, 0, 9000, width)
-        for cut in [1, 4095, 4096]:
+    for width in [4, 257, 715]:
+        whole = sample_bits(5, 0, 33000, width)
+        for cut in [1, 4095, 4096, 32767, 32768]:
             split = np.concatenate([sample_bits(5, 0, cut, width),
-                                    sample_bits(5, cut, 9000, width)])
+                                    sample_bits(5, cut, 33000, width)])
             assert (split == whole).all(), (width, cut)
+
+
+def test_sampler_memory_per_row():
+    # the rounds run in place on a fixed set of row arrays, and only the words
+    # that are read are kept for the unpacking
+    def peak(rows, width):
+        sample_bits(1, 0, rows, width)  # warm
+        tracemalloc.start()
+        try:
+            sample_bits(1, 0, rows, width)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32768, 4) <= 96 * 32768
+    assert peak(4096, 35) <= 0.60 * 2**20
+    assert peak(4096, 715) <= 3.77 * 2**20
 
 
 def test_sampler_range_validation():
@@ -257,7 +274,7 @@ def test_tensor_budget_keeps_default_chunks_up_to_z16(monkeypatch):
 
 
 def test_chunk_rows_follow_the_width(monkeypatch):
-    # at least 2^16 sampled bits and 4096 rows per chunk; a budget of 3213
+    # at least 2^17 sampled bits and 4096 rows per chunk; a budget of 3213
     # Z17 rows caps every event there and no narrower group, and threads
     # never move the chunks
     layouts = []
@@ -269,15 +286,15 @@ def test_chunk_rows_follow_the_width(monkeypatch):
     monkeypatch.setattr(lottery, "_run_chunks", layout_only)
     z17 = AbelianGroup.from_literal("Z17")
     monkeypatch.setattr(lottery, "LOTTERY_TENSOR_BYTES", 3213 * kernels_for(z17, 0).row_bytes)
-    first_rows = {"Z1": 65536, "Z3": 16384, "Z5": 9362, "Z8": 4369, "Z13": 4096, "Z17": 3213}
+    first_rows = {"Z1": 131072, "Z3": 32768, "Z5": 18724, "Z8": 8738, "Z13": 4096, "Z17": 3213}
     for lit, rows in first_rows.items():
         for event in ["satisfies_star", "is_hyperfield", "all_eps_hexagons"]:
             layouts.clear()
             for threads in [1, 2, 4]:
-                estimate(spec_for(lit, 0, 100_000), event, threads=threads)
+                estimate(spec_for(lit, 0, 200_000), event, threads=threads)
             assert layouts[0] == layouts[1] == layouts[2], (lit, event)
             assert layouts[0][0] == (0, rows), (lit, event)
-            assert layouts[0][-1][1] == 100_000
+            assert layouts[0][-1][1] == 200_000
 
 
 def test_chunk_rows_leave_the_estimate_unchanged(monkeypatch):
@@ -523,9 +540,9 @@ def test_one_block_walk_per_chunk(monkeypatch):
     z8, z2z4 = AbelianGroup.from_literal("Z8"), AbelianGroup.from_literal("Z2xZ4")
     runs = [(8, z8, lambda u: census(z8, u, threads=1)),
             (8, z2z4, lambda u: class_table(z2z4, u, threads=1)),
-            # 4369-row chunks at Z8: two full ones and a short third
-            (3, z8, lambda u: estimate(LotterySpec(z8, u, 5, 10_000), "is_field", 1)),
-            (3, z8, lambda u: estimate(LotterySpec(z8, u, 5, 10_000), "is_hyperfield", 1))]
+            # 8738-row chunks at Z8: two full ones and a short third
+            (3, z8, lambda u: estimate(LotterySpec(z8, u, 5, 20_000), "is_field", 1)),
+            (3, z8, lambda u: estimate(LotterySpec(z8, u, 5, 20_000), "is_hyperfield", 1))]
     for want, g, run_on in runs:
         for unit in g.units_of_order_le_2():
             counts.update(walks=0, chunks=0)
