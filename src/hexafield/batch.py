@@ -6,8 +6,9 @@ vector of per-sample verdicts; `verdicts` returns three (hyperfield, 4-full,
 star) from one walk of the block.  The fast predicates are first-order tests
 on the nullset; `axiom_oracle`, their independent judge, is the brute-force
 axiom check of pastures.py: it serves every group table and row count, so
-the scalar and skew oracles run the same code.  `pasture_verdicts` reads one
-pasture's hyperfield, field, 0/0 and 4-full verdicts from one row: the
+the scalar and skew oracles run the same code, at any order: a batch goes
+through it in blocks of rows within a byte budget.  `pasture_verdicts` reads
+one pasture's hyperfield, field, 0/0 and 4-full verdicts from one row: the
 package has no other copy of them.
 """
 
@@ -158,7 +159,10 @@ class Kernels:
     # -- brute-force axiom oracle -----------------------------------------
 
     def axiom_oracle(self, ns: np.ndarray) -> np.ndarray:
-        return _axioms_hold(self._m, self.unit_index, self._hid3, ns)
+        """`_axioms_hold` on blocks of rows within 4 * _BLOCK_ELEMENTS bytes, or one row."""
+        step = max(1, 4 * _BLOCK_ELEMENTS // (20 * (self.group.order + 1) ** 3))
+        return np.concatenate([_axioms_hold(self._m, self.unit_index, self._hid3, ns[lo:lo + step])
+                               for lo in range(0, max(1, len(ns)), step)])
 
     # -- star, 4-full, 0/0, field -----------------------------------------
 

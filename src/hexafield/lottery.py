@@ -14,7 +14,7 @@ from .batch import EVENT_NAMES, ints_to_bits, kernels_for
 from .errors import CapacityError
 from .groups import AbelianGroup, GroupElement
 from .hexagons import build_table
-from .pastures import ORACLE_ORDER_CAP, Pasture, _row_nullset
+from .pastures import Pasture, _row_nullset
 
 WILSON_Z = 1.959963984540054  # 97.5th percentile of the standard normal
 CENSUS_HEX_CAP = 22
@@ -291,10 +291,6 @@ def _orbits(group: AbelianGroup, unit: GroupElement, threads: int | None,
     width = build_table(group).size
     if width > hex_cap:
         raise CapacityError(f"{task} wants 2^{width} nullsets; cap is 2^{hex_cap}")
-    if group.order > ORACLE_ORDER_CAP:
-        raise CapacityError(
-            f"{task} probes the oracle, which is capped at order {ORACLE_ORDER_CAP}; "
-            f"got {group.order}")
     nthreads = thread_count(threads)
     kernels = kernels_for(group, unit.index)
     n_aut = len(kernels.nontrivial_hex_perms) + 1

@@ -9,13 +9,14 @@ over hexagon indices.  Addition is reconstructed from the nullset:
 
 with x + 0 = {x}.  The fast hyperfield test checks two first-order
 conditions over the nullset; the axiom oracle rebuilds the whole addition
-table and verifies every hyperfield axiom by brute force.  These scalar
-tests and `satisfies_star` are references for the batch kernels; the field,
-0/0 and 4-full verdicts of one pasture are a kernel row
-(`batch.pasture_verdicts`) and have no scalar copy.  One mask builder
+as a membership tensor, "z lies in x + y" for every carrier triple, and
+verifies every hyperfield axiom on it by brute force, at any order.  These
+scalar tests and `satisfies_star` are references for the batch kernels; the
+field, 0/0 and 4-full verdicts of one pasture are a kernel row
+(`batch.pasture_verdicts`) and have no scalar copy.  One membership tensor
 and one axiom check serve every group table, commutative or not, and any
-number of nullset rows: `axiom_oracle` passes one row, `Kernels.axiom_oracle`
-a batch, and the skew oracle a Cayley table.
+number of nullset rows: `axiom_oracle` and `reconstruct_addition` pass one
+row, `Kernels.axiom_oracle` a batch, and the skew oracle a Cayley table.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import CapacityError
 from .groups import AbelianGroup, GroupElement
 from .hexagons import HexagonTable, build_table
 
-ORACLE_ORDER_CAP = 9
+ORACLE_ORDER_CAP = 9  # read only by perfbench's scalar verdict; goes with ROADMAP item 1
 FETVINS_M_CAP = 2
 FETVINS_CARRIER_CAP = 6
 
@@ -170,34 +171,32 @@ def _row_nullset(row: np.ndarray) -> int:
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
-def _carrier_masks(table: np.ndarray, eps: int, triple_to_hex: np.ndarray,
-                   ns: np.ndarray) -> np.ndarray:
-    """(S, N, N) carrier masks of the addition of each nullset row, N = n + 1.
+def _membership(table: np.ndarray, eps: int, triple_to_hex: np.ndarray,
+                ns: np.ndarray) -> np.ndarray:
+    """(S, N, N, N) bool, N = n + 1: B[s, x, y, z] is "z lies in x + y" for row s.
 
     The group table's rows need not commute.  z lies in x + y exactly when
     the hexagon of the triple (x, y, eps*z) is selected, and 0 exactly when
-    x = eps*y; 0 + x = x + 0 = {x}.  Masks are int32 up to 31 carrier bits and
-    Python ints past that, so every order stays exact.
+    x = eps*y; 0 + x = x + 0 = {x}.
     """
     n = len(table)
-    big = n + 1
     neg = table[eps]
-    dtype = np.int32 if big < 32 else object
-    single = np.array([1 << i for i in range(big)], dtype=dtype)
-    bits = ns[:, triple_to_hex[:, :, neg]].astype(dtype)  # (S, x, y, z)
-    b = np.zeros((len(ns), big, big), dtype=dtype)
-    b[:, 1:, 1:] = bits @ single[1:] + (np.arange(n)[:, None] == neg).astype(dtype)
-    b[:, 0, :] = single
-    b[:, 1:, 0] = single[1:]
+    b = np.zeros((len(ns), n + 1, n + 1, n + 1), dtype=bool)
+    b[:, 1:, 1:, 1:] = ns[:, triple_to_hex[:, :, neg]]
+    b[:, 1:, 1:, 0] = np.arange(n)[:, None] == neg
+    carrier = np.arange(n + 1)
+    b[:, 0, carrier, carrier] = b[:, carrier, 0, carrier] = True
     return b
 
 
 def reconstruct_addition(pasture: Pasture) -> AdditionTable:
     """Rebuild the full carrier addition table from the nullset."""
     table = pasture.hex_table
-    masks = _carrier_masks(pasture.group.mul_array, pasture.unit_index, table.triple_to_hex,
-                           _nullset_row(pasture.nullset, table.size))
-    return AdditionTable(pasture.group, pasture.unit, tuple(map(tuple, masks[0].tolist())))
+    b = _membership(pasture.group.mul_array, pasture.unit_index, table.triple_to_hex,
+                    _nullset_row(pasture.nullset, table.size))[0]
+    packed = np.packbits(b, axis=2, bitorder="little")
+    return AdditionTable(pasture.group, pasture.unit, tuple(
+        tuple(int.from_bytes(cell.tobytes(), "little") for cell in row) for row in packed))
 
 
 # -- hyperfield tests ------------------------------------------------------
@@ -245,35 +244,34 @@ def _axioms_hold(table: np.ndarray, eps: int, triple_to_hex: np.ndarray,
     """(S,) bool: every hyperfield axiom, by brute force, per nullset row.
 
     Works over any group table; scaling is checked on both sides wherever
-    left and right multiplication differ.
+    left and right multiplication differ.  Each row holds its membership
+    tensor and two float32 products of it: about 20 (n + 1)^3 bytes.
     """
     n = len(table)
-    if n > ORACLE_ORDER_CAP:
-        raise CapacityError(f"addition table capped at group order {ORACLE_ORDER_CAP}, "
-                            f"got order {n}")
     big = n + 1
-    s = len(ns)
-    b = _carrier_masks(table, eps, triple_to_hex, ns)
+    b = _membership(table, eps, triple_to_hex, ns)
     # nonempty and commutative sums, 0 in a + c exactly when a = -c
-    ok = (b != 0).all(axis=(1, 2))
-    ok &= (b == b.swapaxes(1, 2)).all(axis=(1, 2))
+    ok = b.any(axis=3).all(axis=(1, 2))
+    ok &= (b == b.swapaxes(1, 2)).all(axis=(1, 2, 3))
     neg = np.concatenate(([0], table[eps] + 1))
-    ok &= ((b & 1).astype(bool) == (np.arange(big)[:, None] == neg)).all(axis=(1, 2))
-    # scaling by any group element, on either side, permutes the membership tensor
+    ok &= (b[..., 0] == (np.arange(big)[:, None] == neg)).all(axis=(1, 2))
+    # scaling by any group element, on either side, permutes the membership
+    # tensor; its group part is gathered again, as gathers from a view run slower
     bits = ns[:, triple_to_hex[:, :, table[eps]]]
     for t in range(n):
         left, right = table[t], table[:, t]
         for perm in (left,) if (left == right).all() else (left, right):
             ok &= (bits == bits[:, perm][:, :, perm][:, :, :, perm]).all(axis=(1, 2, 3))
-    # associativity via per-row union-over-subset tables, union[s, k, m] = the
-    # union of k + i over i in m, filled one highest bit at a time;
-    # gathered[s, k, g, h] = k + (g + h), which must equal g + (h + k)
-    union = np.zeros((s, big, 1 << big), dtype=np.int32)
-    for i in range(big):
-        union[:, :, 1 << i:2 << i] = union[:, :, :1 << i] | b[:, :, i, None]
-    idx = np.broadcast_to(b.reshape(s, 1, big * big), (s, big, big * big)).astype(np.int64)
-    gathered = np.take_along_axis(union, idx, axis=2).reshape(s, big, big, big)
-    ok &= (np.moveaxis(gathered, 1, 3) == gathered).all(axis=(1, 2, 3))
+    # associativity with the first summand pinned to 1, which is exact: left
+    # scaling, checked above, gives (g + h) + k = g((1 + g^-1 h) + g^-1 k) and
+    # g + (h + k) = g(1 + (g^-1 h + g^-1 k)), and g = 0 holds since 0 + x = {x}.
+    # (1 + h) + k is the union of i + k over i in 1 + h, and 1 + (h + k) that
+    # of 1 + j over j in h + k: one product each
+    one = 1 + int(table[eps, eps])
+    f = b.astype(np.float32)
+    lhs = f[:, one] @ f.reshape(len(f), big, big * big)
+    rhs = f.reshape(len(f), big * big, big) @ f[:, one]
+    ok &= ((lhs > 0).reshape(rhs.shape) == (rhs > 0)).all(axis=(1, 2))
     return ok
 
 

@@ -8,16 +8,16 @@ import pytest
 
 from hexafield import batch
 from hexafield.batch import EVENT_NAMES, Kernels, ints_to_bits, kernels_for
-from hexafield.errors import CapacityError
 from hexafield.galois import (QuotientSpec, build_field, factor_prime_power,
                               quotient_hyperfield)
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
 from hexafield.lottery import sample_bits
 from hexafield.morphisms import pasture_automorphisms
-from hexafield.pastures import (ORACLE_ORDER_CAP, Pasture, all_pastures,
-                                _nullset_row, axiom_oracle, is_hyperfield_fast,
-                                reconstruct_addition, satisfies_star)
+from hexafield.pastures import (Pasture, _nullset_row, all_pastures, axiom_oracle,
+                                is_hyperfield_fast, reconstruct_addition, satisfies_star)
+from hexafield.skew import (dihedral, quaternion_8, skew_axiom_oracle, skew_hexagons,
+                            symmetric_3)
 
 SCALAR = {
     "is_hyperfield": is_hyperfield_fast,
@@ -198,15 +198,21 @@ def test_blocks_bit_by_bit(lit):
     ("Z64", "satisfies_star", False),
 ])
 def test_wide_words_match_scalar(lit, name, dense):
-    # the pinned digests stop at n = 16; these reach uint32 and uint64 words
+    # the pinned digests stop at n = 16; these reach uint32 and uint64 words.
+    # The axiom oracle, which shares no code with the kernels, judges every
+    # Z17 row and the first two Z33 rows as well
     g = AbelianGroup.from_literal(lit)
     for unit in g.units_of_order_le_2():
+        kernels = kernels_for(g, unit.index)
         ns = _seeded_rows(g, unit.index, 5, dense)
-        got = kernels_for(g, unit.index).event(name, ns)
+        got = kernels.event(name, ns)
         want = [SCALAR[name](Pasture(g, unit, int.from_bytes(
             np.packbits(row, bitorder="little").tobytes(), "little"))) for row in ns]
         assert got.tolist() == want, (lit, unit.index)
         assert 0 < sum(want) < len(want), (lit, unit.index)
+        if name == "is_hyperfield":
+            judged = ns if lit == "Z17" else ns[:2]
+            assert kernels.axiom_oracle(judged).tolist() == want[:len(judged)], (lit, unit.index)
 
 
 def test_star_decomposition_on_batch():
@@ -256,14 +262,16 @@ def test_4full_implies_hyperfield_on_every_unit():
 
 
 def test_kernel_verdicts_past_oracle_pinned():
-    # no oracle reaches these orders, so the verdicts are pinned instead
+    # these orders are past the exhaustive pins, so the verdicts are pinned
+    # instead, and the axiom oracle judges the first 32 rows of each unit
     digest = hashlib.sha256()
     for lit in ["Z10", "Z12", "Z13", "Z16"]:
         g = AbelianGroup.from_literal(lit)
-        assert g.order > ORACLE_ORDER_CAP
         bits = sample_bits(7, 0, 256, build_table(g).size)
         for unit in g.units_of_order_le_2():
             kernels = kernels_for(g, unit.index)
+            assert (kernels.axiom_oracle(bits[:32]) == kernels.is_hyperfield(bits[:32])).all(), \
+                (lit, unit.index)
             for name in ["is_hyperfield", "satisfies_star", "is_4full",
                          "is_zero_over_zero", "is_field", "all_eps_hexagons"]:
                 digest.update(f"{lit}/{unit.index}/{name}".encode())
@@ -313,7 +321,7 @@ def test_kernels_accept_zero_rows():
         empty = np.zeros((0, build_table(g).size), dtype=bool)
         for name in ["is_hyperfield", "satisfies_star", "is_4full",
                      "is_zero_over_zero", "is_field", "all_eps_hexagons",
-                     "has_nontrivial_automorphism"]:
+                     "has_nontrivial_automorphism", "axiom_oracle"]:
             got = getattr(kernels, name)(empty)
             assert got.shape == (0,) and got.dtype == bool, (lit, name)
 
@@ -556,6 +564,28 @@ def test_oracle_verdicts_pinned():
         "6a01e5219af10243a124c575c9708fa86f467e6d9d63a57b9914a523d0d12dcd"
 
 
+def test_oracle_exhaustive_verdicts_pinned():
+    # every nullset at every unit through the batch oracle, and every nullset
+    # of the non-abelian groups of order <= 8 at every central self-inverse
+    # unit through the skew oracle; the order-8 groups would take seconds more
+    digest = hashlib.sha256()
+    for lit in ["Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z7"]:
+        g = AbelianGroup.from_literal(lit)
+        for unit in g.units_of_order_le_2():
+            verdicts = kernels_for(g, unit.index).axiom_oracle(all_bits(g))
+            digest.update(f"{lit}/{unit.index}".encode())
+            digest.update(np.packbits(verdicts).tobytes())
+    for g in [symmetric_3(), dihedral(4), quaternion_8()]:
+        size = skew_hexagons(g).size
+        for unit in g.center:
+            if g.table[unit][unit] == g.identity:
+                verdicts = [skew_axiom_oracle(g, unit, bits) for bits in range(1 << size)]
+                digest.update(f"{g.name}/{unit}".encode())
+                digest.update(np.packbits(verdicts).tobytes())
+    assert digest.hexdigest() == \
+        "47c8b5324c6006b3c7dfe16848a6c1f9a8e57088840203be5313a86caf2b7876"
+
+
 def test_all_eps_hexagons_event():
     g = AbelianGroup.from_literal("Z3")
     kernels = kernels_for(g, 0)
@@ -582,12 +612,32 @@ def test_kernels_validation():
         kernels_for(g, 1)  # element of order 4 cannot be the unit
 
 
-def test_oracle_cap():
-    g = AbelianGroup.from_literal("Z16")
+def test_oracle_cap(monkeypatch):
+    # the oracle's cap is bytes, not an order: about 20 (n + 1)^3 a row, in
+    # blocks of rows within 4 * _BLOCK_ELEMENTS bytes, or one row a block;
+    # the census probe's calls of 41 rows stay one block up to order 9
+    g = AbelianGroup.from_literal("Z64")
     kernels = kernels_for(g, 0)
-    with pytest.raises(CapacityError):
-        kernels.axiom_oracle(ints_to_bits(np.zeros(1, dtype=np.int64),
-                                          build_table(g).size))
+    ns = sample_bits(1, 0, 64, build_table(g).size)
+    kernels.axiom_oracle(ns[:1])  # the cached index tensors are not part of a call
+    row = 20 * 65 ** 3
+    for rows, bound in [(1, row), (64, 4 * batch._BLOCK_ELEMENTS + row)]:
+        tracemalloc.start()
+        try:
+            got = kernels.axiom_oracle(ns[:rows])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (rows, peak)
+        assert (got == kernels.is_hyperfield(ns[:rows])).all()
+    blocks = []
+    hold = batch._axioms_hold
+    monkeypatch.setattr(batch, "_axioms_hold", lambda *args: blocks.append(len(args[3]))
+                        or hold(*args))
+    for lit in ["Z8", "Z9", "Z3xZ3"]:
+        g = AbelianGroup.from_literal(lit)
+        kernels_for(g, 0).axiom_oracle(sample_bits(2, 0, 41, build_table(g).size))
+    assert blocks == [41, 41, 41]
 
 
 def test_kernels_cached():

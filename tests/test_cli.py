@@ -138,8 +138,12 @@ def test_census_csv_shape():
     assert len(rows) == 1 and rows[0]["total_pastures"] == "4"
 
 
-def test_census_over_oracle_cap_exits_2():
-    assert invoke("census", "--group", "Z10", "--eps", "0") == (2, "")
+def test_census_z10():
+    # order 10: the 1% probe runs the axiom oracle past order 9, and the
+    # hyperfield count is the one in ROADMAP item 5's table
+    code, text = invoke("census", "--group", "Z10", "--eps", "0")
+    assert code == 0
+    assert text.splitlines()[1] == "Z10,[0],4194304,608619,0,515599,152576,607052"
 
 
 def test_lottery_frozen_run():
@@ -243,8 +247,8 @@ def test_product_output_reparses(tmp_path):
 
 
 def test_product_past_the_oracle_cap(tmp_path):
-    # a Z5 hyperfield times the sign hyperfield lives on Z10; no addition
-    # table is built, so the order-9 oracle cap does not apply
+    # a Z5 hyperfield times the sign hyperfield lives on Z10, where the
+    # verdict comes from the kernels and must match the product theorem
     z5 = quotient_hyperfield(QuotientSpec(build_field(11, 1), 5))
     a = write_pasture(tmp_path, z5, "a.json")
     b = write_pasture(tmp_path, sign_hyperfield(), "b.json")

@@ -376,14 +376,14 @@ def test_census_capacity():
         census(g, g.element_by_index(0))
 
 
-def test_census_oracle_cap_raises_before_any_chunk(monkeypatch):
-    # Z10 fits the hexagon cap (22 hexagons) but not the oracle probe
+def test_census_hex_cap_raises_before_any_chunk(monkeypatch):
+    # Z11 has 26 hexagons, over the census cap
     def no_chunks(*args):
         raise AssertionError("a chunk ran before the capacity check")
 
     monkeypatch.setattr(lottery, "_run_chunks", no_chunks)
-    g = AbelianGroup.from_literal("Z10")
-    assert build_table(g).size <= lottery.CENSUS_HEX_CAP
+    g = AbelianGroup.from_literal("Z11")
+    assert build_table(g).size > lottery.CENSUS_HEX_CAP
     with pytest.raises(CapacityError):
         census(g, g.element_by_index(0))
 

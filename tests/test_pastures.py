@@ -169,12 +169,6 @@ def test_all_pastures_count():
     assert len(list(all_pastures(g, g.identity))) == 16
 
 
-def test_oracle_cap():
-    g = AbelianGroup.from_literal("Z16")
-    with pytest.raises(CapacityError):
-        axiom_oracle(Pasture(g, g.identity, 0))
-
-
 def test_fetvins_on_knowns():
     k = reconstruct_addition(krasner())
     assert fetvins_exhaustive(k, 1)
