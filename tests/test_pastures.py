@@ -10,7 +10,7 @@ from hexafield.batch import Kernels, ints_to_bits
 from hexafield.errors import CapacityError
 from hexafield.galois import one_minus_one_is_everything
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
-from hexafield.hexagons import build_table
+from hexafield.hexagons import TABLE_ORDER_CAP, build_table
 from hexafield.lottery import sample_bits
 from hexafield.pastures import (Pasture, _nullset_row, _row_nullset,
                                 all_pastures, axiom_oracle,
@@ -167,6 +167,19 @@ def test_weak_sign_is_star():
 def test_all_pastures_count():
     g = AbelianGroup.from_literal("Z3")
     assert len(list(all_pastures(g, g.identity))) == 16
+
+
+def test_oracle_cap():
+    # the scalar oracle has no order cap of its own: Z16 gets a verdict, and
+    # the only ceiling left is the hexagon table's, hit building the pasture
+    g = AbelianGroup.from_literal("Z16")
+    size = build_table(g).size
+    for nullset in [0, 1, (1 << size) - 1, 0b1011 << (size // 2)]:
+        p = Pasture(g, g.identity, nullset)
+        assert axiom_oracle(p) == is_hyperfield_fast(p), nullset
+    big = AbelianGroup.from_literal(f"Z{TABLE_ORDER_CAP + 1}")
+    with pytest.raises(CapacityError):
+        axiom_oracle(Pasture(big, big.identity, 0))
 
 
 def test_fetvins_on_knowns():
