@@ -25,8 +25,9 @@ from .morphisms import hexagon_permutations
 from .pastures import Pasture, _axioms_hold, _nullset_row
 
 
-# bytes in each of the four slab buffers of the kernels' block: 512 KiB, so that
-# all four stay in a 2 MiB cache between a slab's `&`, `|` and its reduction.
+# bytes in each buffer of the kernels' walk and reducers: 512 KiB, so that a
+# block's `&`, `|` and gathers stay in a 2 MiB cache.  A walk holds the domain
+# for as many words of rows as fit 16 * _BLOCK_ELEMENTS bytes, or for one word.
 # The orbit scan's (permutations, K) words take the same budget per array.
 _BLOCK_ELEMENTS = 1 << 19
 
@@ -46,10 +47,27 @@ def _unpacked(words: np.ndarray, rows: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), count=rows, bitorder="little").view(bool)
 
 
-def _fold(op: np.ufunc, m: np.ndarray) -> np.ndarray:
-    """op over every entry of m, word by word: K words.  Folding the leading
-    axis first keeps numpy's inner loops long when K is small."""
-    return op.reduce(op.reduce(m, axis=0).reshape(-1, m.shape[-1]), axis=0)
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of an int vector, without the import of numpy.ma that
+    np.unique, np.isin and np.setdiff1d make on first use (tens of ms)."""
+    values = np.sort(values)
+    return values[np.concatenate([values[:1] == values[:1], values[1:] != values[:-1]])]
+
+
+def _and_not(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.bitwise_and(p, ~q, out=out)
+
+
+def _any(op, d: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """OR over op(d[p], d[q]) for the columns (p, q) of `pairs`: K words.  The
+    pairs are gathered in blocks within _BLOCK_ELEMENTS bytes, or one pair."""
+    found = np.zeros(d.shape[1], dtype=d.dtype)
+    step = max(1, _BLOCK_ELEMENTS // (d.shape[1] * d.itemsize))
+    for lo in range(0, pairs.shape[1], step):
+        p, q = pairs[:, lo:lo + step]
+        left = np.take(d, p, axis=0)
+        found |= np.bitwise_or.reduce(op(left, np.take(d, q, axis=0), out=left), axis=0)
+    return found
 
 
 @dataclass(frozen=True)
@@ -69,86 +87,158 @@ class Kernels:
         return self._m[self.unit_index]
 
     @cached_property
+    def _table(self):
+        return build_table(self.group)
+
+    @cached_property
     def _hid3(self) -> np.ndarray:
         # hexagon of the triple (x, y, z), shared by every unit of the group;
         # the pair (u, v) is the triple (u, v, 1), and (tu, tv) is (u, v, t^-1)
-        return build_table(self.group).triple_to_hex
+        return self._table.triple_to_hex
 
     @property
     def n_hex(self) -> int:
-        return build_table(self.group).size
+        return self._table.size
 
     @property
     def row_bytes(self) -> int:
-        """Bytes per row that a kernel call may hold: the bool row, its copy, and
-        one bit per row in the packed rows, their packing, condition A's pairs
-        and the four slab buffers, unless those take 4 * _BLOCK_ELEMENTS bytes."""
+        """Bytes per row that a kernel call may hold, past buffers of
+        _BLOCK_ELEMENTS bytes each.  With h hexagons, n = |G| and the
+        domain's |A| values of a and |P| pairs (b, w): the bool row and its
+        transposed copy take 2 h bytes.  In bits: the packed rows and their
+        packing 2 h; condition A's pairs n^2; the domain |A| |P|, when one
+        call's words fit 16 * _BLOCK_ELEMENTS bytes of it; the walk's first
+        factor n |A|; and 2 (|P| + n) for a block of one pair (b, w), the
+        per-a ANDs, 4-full's row of the unit, star's diagonal and one pair of
+        condition B each.  That is 2 h + (2 h + n^2 + (|A| + 2)(|P| + n)) / 8
+        bytes, rounded up."""
         n, h = self.group.order, self.n_hex
-        return 2 * h + (2 * h + 5 * n * n + 7) // 8
+        a, p = self._table.domain_first.shape[1], self._table.domain_second.shape[1]
+        return 2 * h + (2 * h + n * n + (a + 2) * (p + n) + 7) // 8
 
-    # -- one block, three kernels -----------------------------------------
+    # -- one walk of the block, three reducers ----------------------------
 
     def _blocks(self, x: np.ndarray):
-        """Yield (w0, m, spare), m[a, b, w] = OR_t x[hex(1, a, t)] & x[hex(unit*b, w0 + w, t)].
+        """Yield (k0, d): d[i, k] holds, for the rows of word k0 + k, the
+        domain entry i of M[a, b, w] = OR_t x[hex(1, a, t)] & x[hex(b, w, t)].
 
         x is `_packed(ns)`, so an entry holds one bit per row: some t has
-        both hexagons selected.  Let M[a, b, w] be that test on hex(1, a, t)
-        and hex(b, w, t); m is a slab of M_e[a, b, w] = M[a, unit*b, w].
+        both hexagons selected.  M does not read the unit, and its two
+        involutions σ1 and σ2 (hexagons.py) fix it, so one value per entry
+        of the table's fundamental domain stands for every (a, b, w):
+        `domain_index` reads M off it.  Per t, the walk ANDs hex(1, a, t),
+        broadcast along the pairs, with hex(b, w, t), broadcast along a, and
+        ORs the result in, over blocks of pairs (b, w) whose buffers fit
+        _BLOCK_ELEMENTS bytes.  The words of a call are walked in groups
+        whose domain fits 16 * _BLOCK_ELEMENTS bytes, or one word each.
+        """
+        first_index, second_index = self._table.domain_first, self._table.domain_second
+        n, a, p = first_index.shape[0], first_index.shape[1], second_index.shape[1]
+        groups = -(-x.shape[1] * a * p * x.itemsize // (16 * _BLOCK_ELEMENTS))
+        width = -(-x.shape[1] // groups)
+        step = max(1, _BLOCK_ELEMENTS // (a * width * x.itemsize))
+        # one domain and one spare buffer serve every group
+        bufs = np.empty(a * (p + min(p, step)) * width, dtype=x.dtype)
+        for k0 in range(0, x.shape[1], width):
+            words = x[:, k0:k0 + width]
+            k = words.shape[1]
+            first = words[first_index][:, :, None]  # [t, a, 1, K]
+            d = bufs[:a * p * k].reshape(a, p, k)
+            spare = bufs[a * p * k:a * (p + min(p, step)) * k].reshape(a, -1, k)
+            for p0 in range(0, p, step):
+                second = words[second_index[:, p0:p0 + step]]  # [t, pairs, K]
+                block, buf = d[:, p0:p0 + step], spare[:, :second.shape[1]]
+                np.bitwise_and(first[0], second[0], out=block)
+                for t in range(1, n):
+                    block |= np.bitwise_and(first[t], second[t], out=buf)
+            yield k0, d.reshape(a * p, k)
+
+    @cached_property
+    def _diag(self) -> np.ndarray:
+        """Domain entries of 4-full's excluded M_e[unit, y, y], where M_e[a,
+        b, w] = M[a, unit*b, w]: σ1 and σ2 map the set {(unit, unit*y, y)}
+        onto itself, so these entries stand for it alone.  All lie in the
+        domain's row a = unit."""
+        index = self._table.domain_index
+        return _distinct(index[self.unit_index, self._em, np.arange(self.group.order)])
+
+    @cached_property
+    def _unit_row(self) -> tuple[int, int, np.ndarray]:
+        """(lo, hi, kept): the unit's row lo:hi of the domain, which holds
+        `_diag`, and the entries of that row off `_diag`."""
+        p = self._table.domain_second.shape[1]
+        lo = self._diag[0] - self._diag[0] % p
+        kept = np.ones(p, dtype=bool)
+        kept[self._diag - lo] = False
+        return lo, lo + p, lo + np.flatnonzero(kept)
+
+    @cached_property
+    def _b_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(equal, implied): (2, ·) domain entries that condition B compares.
+
+        B fails iff some (Z, y, w) other than (unit, y, y) has the premise
+        M_e[y, Z, w] and not the conclusion M_e[Z, y, w] (`verdicts`).  Off
+        (unit, y, y) and (y, unit, y) each (Z, y, w) has its swap (y, Z, w),
+        whose premise and conclusion trade places, so B asks those entries
+        to be equal: `equal` pairs each entry with the least entry joined
+        to it through such pairs.  The other premises, at (Z, unit, Z), are
+        4-full's diagonal; `implied` holds them with their conclusions."""
+        n, e, m = self.group.order, self.unit_index, self._em
+        index = self._table.domain_index
+        size = index.max() + 1
+        z, y, w = np.indices((n, n, n)).reshape(3, -1)
+        off = (z != e) | (y != w)
+        z, y, w = z[off], y[off], w[off]
+        codes = _distinct(index[y, m[z], w] * size + index[z, m[y], w])
+        premise, conclusion = np.divmod(codes, size)
+        swapped = conclusion * size + premise
+        both = codes[np.minimum(np.searchsorted(codes, swapped), len(codes) - 1)] == swapped
+        # each entry's least partner: min-label propagation with shortcuts
+        label = np.arange(size)
+        p, q = premise[both], conclusion[both]
+        while (label[p] != label[q]).any():
+            low = np.minimum(label[p], label[q])
+            np.minimum.at(label, p, low)
+            np.minimum.at(label, q, low)
+            label = label[label]
+        joined = np.flatnonzero(label != np.arange(size))
+        return np.stack([joined, label[joined]]), np.stack([premise[~both], conclusion[~both]])
+
+    def verdicts(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(hyperfield, 4-full, star): condition A, then one walk of `_blocks`.
+
         The pair (ru, rv) is the triple (u, v, r^-1), so scaling a test by r
         only moves t, and the pair (r, ra) is the triple (1, a, r^-1), so
-        every test has a copy whose first hexagon is hex(1, a, t):
+        every test has a copy whose first hexagon is hex(1, a, t).  Let
+        M_e[a, b, w] = M[a, unit*b, w]:
         - star: for all (a, b, c) some u has hex(u, ua) and hex(ub, uc)
-          selected, so star holds iff M, and so M_e, is true everywhere.
+          selected, so star holds iff M is true everywhere.
         - 4-full: for all (b, c, d) but b = unit, c = unit*d, some t has
           hex(1, b, unit*t) and hex(c, d, t) selected.  Scaled by the unit
-          that is every entry of M_e but (unit, w, w).
+          that is every entry of M_e but (unit, w, w), `_diag`.
         - condition B: any two distinct selected pairs (x, y) and (z, w)
           have some t with hex(x, unit*z, t) and hex(unit*y, w, t)
           selected.  In the copies with x = 1 and Z = unit*z, the premises
           are M[y, z, w] = M_e[y, Z, w] and the conclusion M_e[Z, y, w].  So
           B fails iff some (Z, y, w) other than (unit, y, y), the two equal
-          pairs, has M_e[y, Z, w] and not M_e[Z, y, w]: 4-full's diagonal,
-          so a 4-full nullset passes B.
-        A slab holds whole (a, b) planes, for B's transpose, for as many w as
-        fit in `_BLOCK_ELEMENTS` bytes, or one w.  Four such buffers serve
-        every slab: both factors, m and `spare`, free for the reader to use.
-        """
-        n, k = self.group.order, x.shape[1]
-        dw = min(n, max(1, _BLOCK_ELEMENTS // (n * n * k * x.itemsize)))
-        bufs = np.empty((4, n * n * dw * k), dtype=x.dtype)
-        # [t, a, 1, w, K]: hex(1, a, t), repeated along w so that numpy's `&`
-        # runs over whole (w, K) rows; at K = 1 it runs over (b, w) planes
-        reps = dw if k > 1 else 1
-        first = bufs[0, :n * n * reps * k].reshape(n, n, 1, reps, k)
-        first[...] = x[self._hid3[0].T][:, :, None, None]
-        for w0 in range(0, n, dw):
-            ws = min(dw, n - w0)
-            m, spare, second = bufs[1:, :n * n * ws * k].reshape(3, n, n, ws, k)
-            np.take(x, self._hid3[self._em, w0:w0 + ws].transpose(2, 0, 1), axis=0,
-                    out=second, mode="clip")  # [t, b, w, K]; "clip" fills out unbuffered
-            np.bitwise_and(first[0, ..., :ws, :], second[0], out=m)
-            for t in range(1, n):
-                m |= np.bitwise_and(first[t, ..., :ws, :], second[t], out=spare)
-            yield w0, m, spare
-
-    def verdicts(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(hyperfield, 4-full, star): condition A, then one walk of `_blocks`
-        whose slabs feed condition B, 4-full's AND and the AND over 4-full's
-        diagonal (unit, w, w); star is 4-full and that diagonal."""
+          pairs, has M_e[y, Z, w] and not M_e[Z, y, w]: `_b_pairs`.  A
+          4-full nullset passes B.
+        Each reducer reads the domain through the unit's index lists:
+        4-full ANDs every entry but `_diag` (`_unit_row`), star ANDs `_diag`
+        in as well."""
         u = self.unit_index
         x = _packed(ns)
         pairs = np.bitwise_or.reduce(x[self._hid3[:, :, 0]], axis=1)  # [x]: some (x, y) selected
         hyper = np.bitwise_and.reduce(np.delete(pairs, u, axis=0), axis=0)  # every x but the unit
-        full4, diag = np.full((2, x.shape[1]), ~np.uint64(0), dtype=x.dtype)
-        for w0, m, bad in self._blocks(x):
-            w = np.arange(m.shape[2])
-            np.invert(m, out=bad)
-            bad &= m.transpose(1, 0, 2, 3)
-            bad[u, w0 + w, w] = 0
-            hyper &= ~_fold(np.bitwise_or, bad)
-            diag &= np.bitwise_and.reduce(m[u, w0 + w, w], axis=0)
-            m[u, w0 + w, w] = ~m.dtype.type(0)  # 4-full's excluded (unit, w, w)
-            full4 &= _fold(np.bitwise_and, m)
+        full4, diag = np.empty((2, x.shape[1]), dtype=x.dtype)
+        lo, hi, kept = self._unit_row
+        equal, implied = self._b_pairs
+        for k0, d in self._blocks(x):
+            words = slice(k0, k0 + d.shape[1])
+            full4[words] = (np.bitwise_and.reduce(d[:lo], axis=0) & np.bitwise_and.reduce(d[hi:], axis=0)
+                            & np.bitwise_and.reduce(np.take(d, kept, axis=0), axis=0))
+            diag[words] = np.bitwise_and.reduce(np.take(d, self._diag, axis=0), axis=0)
+            hyper[words] &= ~(_any(np.bitwise_xor, d, equal) | _any(_and_not, d, implied))
         if self.group.order == 1:
             full4 &= np.bitwise_or.reduce(x, axis=0)  # F2 is excluded by definition
         return tuple(_unpacked(words, len(ns)) for words in (hyper, full4, full4 & diag))

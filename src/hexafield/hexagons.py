@@ -81,6 +81,52 @@ class HexagonTable:
         t2h.setflags(write=False)
         return t2h
 
+    # -- one fundamental domain of the kernels' block ----------------------
+    #
+    # M[a, b, w] = OR_t x[hex(1, a, t)] & x[hex(b, w, t)] on a commutative
+    # group is fixed by two involutions: σ1, M[a, b, w] = M[a, w, b], since a
+    # hexagon is fixed under permuting its triple; and σ2, M[a, b, w] =
+    # M[a^-1, b a^-1, w a^-1], since hex(1, a, t) = hex(a, 1, t) and scaling
+    # both triples by a^-1 only moves t.  The domain takes a over one member
+    # of each {a, a^-1} (the lower index) and (b, w) over the pairs b <= w;
+    # its entries are numbered a-major, (b, w) in `np.triu_indices` order.
+
+    @cached_property
+    def _domain_axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = len(self.group.inv_array)
+        b, w = np.triu_indices(n)
+        return np.flatnonzero(np.arange(n) <= self.group.inv_array), b, w
+
+    @cached_property
+    def domain_first(self) -> np.ndarray:
+        """(n, |A|) [t, a]: hexagon of (1, a, t) for each a of the domain."""
+        a, _, _ = self._domain_axes
+        return np.ascontiguousarray(self.triple_to_hex[0][a].T)
+
+    @cached_property
+    def domain_second(self) -> np.ndarray:
+        """(n, |P|) [t, p]: hexagon of (b, w, t) for the p-th pair b <= w."""
+        _, b, w = self._domain_axes
+        return np.ascontiguousarray(self.triple_to_hex[b, w].T)
+
+    @cached_property
+    def domain_index(self) -> np.ndarray:
+        """(n, n, n): the domain entry holding M[a, b, w]."""
+        a_axis, b_axis, w_axis = self._domain_axes
+        m, inv = self.group.mul_array, self.group.inv_array
+        n = len(inv)
+        row = np.full(n, -1)
+        row[a_axis] = np.arange(len(a_axis))
+        pair = np.empty((n, n), dtype=np.int64)
+        pair[b_axis, w_axis] = pair[w_axis, b_axis] = np.arange(len(b_axis))
+        # σ2 takes an a off the domain to a^-1, which is on it
+        a = np.where(row < 0, inv, np.arange(n))[:, None, None]
+        scale = np.where(row < 0, inv, 0)[:, None, None]
+        b, w = m[np.arange(n)[None, :, None], scale], m[np.arange(n)[None, None, :], scale]
+        index = row[a] * len(b_axis) + pair[b, w]
+        index.setflags(write=False)
+        return index
+
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(ms) for ms in self.members)
 

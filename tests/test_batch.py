@@ -160,32 +160,62 @@ def test_field_like_rows_match_the_oracle():
     assert 0 < np.concatenate(verdicts).sum() < sum(map(len, verdicts))
 
 
+def _block_from_the_definition(ns, kernels):
+    """M_e[s, a, b, w] = any_t ns[s, hex(1, a, t)] & ns[s, hex(unit*b, w, t)]
+    as bools, from a float product: [s, a, t] @ [s, t, (b, w)] counts the t
+    with both hexagons selected."""
+    n, hid3 = kernels.group.order, kernels._hid3
+    first = ns[:, hid3[0]].astype(np.float32)
+    second = ns[:, hid3[kernels._em]].reshape(len(ns), n * n, n).transpose(0, 2, 1)
+    return (first @ second.astype(np.float32) > 0).reshape(len(ns), n, n, n)
+
+
+def _rows_for_the_block(g):
+    ns = _seeded_rows(g, 0, g.order)[:65]
+    return np.concatenate([ns, sample_bits(g.order, 0, 65 - len(ns), build_table(g).size)])
+
+
 @pytest.mark.parametrize("lit", ["Z1", "Z8", "Z9", "Z16", "Z17", "Z32", "Z33", "Z64"])
 def test_blocks_bit_by_bit(lit):
-    # the bit of row s in m[a, b, w] is any_t ns[s, hex(1, a, t)] & ns[s,
-    # hex(unit*b, w, t)], and the padding bits past the last row stay zero;
-    # 1, 63, 64 and 65 rows take one word, a full word and a second word
+    # the bit of row s in M_e[a, b, w], read off the walk's domain entry
+    # domain_index[a, unit*b, w], is any_t ns[s, hex(1, a, t)] & ns[s,
+    # hex(unit*b, w, t)] at every unit, and the padding bits past the last
+    # row stay zero; 1, 63, 64 and 65 rows take one word, a full word and a
+    # second word
     g = AbelianGroup.from_literal(lit)
-    n = g.order
-    hid3 = build_table(g).triple_to_hex
-    ns = _seeded_rows(g, 0, n)[:65]
-    ns = np.concatenate([ns, sample_bits(n, 0, 65 - len(ns), build_table(g).size)])
+    ns = _rows_for_the_block(g)
     for unit in g.units_of_order_le_2():
         kernels = kernels_for(g, unit.index)
-        # [s, a, t] @ [s, t, (b, w)]: a count of the t with both selected
-        first = ns[:, hid3[0]].astype(np.float32)
-        second = ns[:, hid3[kernels._em]].reshape(len(ns), n * n, n).transpose(0, 2, 1)
-        want = (first @ second.astype(np.float32) > 0).reshape(len(ns), n, n, n)
+        want = _block_from_the_definition(ns, kernels)
+        index = build_table(g).domain_index[:, kernels._em]
         for rows in [1, 63, 64, 65]:
             covered = 0
-            for w0, m, _ in kernels._blocks(batch._packed(ns[:rows])):
-                assert m.dtype == np.dtype("<u8") and m.shape[3] == (rows + 63) // 64
-                bits = np.unpackbits(m.view(np.uint8), axis=3, bitorder="little")
-                assert not bits[..., rows:].any(), (lit, unit.index, rows, w0)
-                got = bits[..., :rows].transpose(3, 0, 1, 2).astype(bool)
-                assert (got == want[:rows, :, :, w0:w0 + m.shape[2]]).all(), (lit, rows, w0)
-                covered += m.shape[2]
-            assert covered == n
+            for k0, d in kernels._blocks(batch._packed(ns[:rows])):
+                assert d.dtype == np.dtype("<u8") and k0 == covered
+                bits = np.unpackbits(d.view(np.uint8), axis=1, bitorder="little")
+                assert not bits[:, rows - 64 * k0:].any(), (lit, unit.index, rows, k0)
+                got = bits[index, :rows - 64 * k0].transpose(3, 0, 1, 2).astype(bool)
+                assert (got == want[64 * k0:rows]).all(), (lit, unit.index, rows, k0)
+                covered += d.shape[1]
+            assert covered == (rows + 63) // 64
+
+
+def test_block_involutions():
+    # M[a, b, w] = M_e[a, unit*b, w] is fixed by σ1: (a, b, w) -> (a, w, b)
+    # and σ2: (a, b, w) -> (a^-1, b a^-1, w a^-1), on the block computed
+    # from the definition at every unit of every group of order <= 16
+    for g in abelian_groups_up_to(16):
+        n, m, inv = g.order, g.mul_array, g.inv_array
+        ns = _rows_for_the_block(g)
+        for unit in g.units_of_order_le_2():
+            kernels = kernels_for(g, unit.index)
+            block = _block_from_the_definition(ns, kernels)[:, :, kernels._em]
+            assert (block == block.transpose(0, 1, 3, 2)).all(), (g.literal, unit.index)
+            a = np.arange(n)[:, None, None]
+            b, w = np.arange(n)[None, :, None], np.arange(n)[None, None, :]
+            assert (block == block[:, inv[a], m[b, inv[a]], m[w, inv[a]]]).all(), \
+                (g.literal, unit.index)
+            assert 0 < block.sum() < block.size, (g.literal, unit.index)
 
 
 @pytest.mark.parametrize("lit, name, dense", [
@@ -311,6 +341,23 @@ def test_star_and_4full_verdicts_exhaustive_pinned():
                     digest.update(np.packbits(getattr(kernels, name)(bits)).tobytes())
     assert digest.hexdigest() == \
         "594944e85fef83a1d96d08195c72bf5a50a0a7b261a163d1c26b910b1302b12c"
+
+
+def test_verdicts_exhaustive_pinned():
+    # hyperfield, 4-full and star from one `verdicts` call per 4096-row
+    # chunk, on every nullset at every unit of every group of order <= 8
+    digest = hashlib.sha256()
+    for g in abelian_groups_up_to(8):
+        width = build_table(g).size
+        for unit in g.units_of_order_le_2():
+            kernels = kernels_for(g, unit.index)
+            digest.update(f"{g.literal}/{unit.index}".encode())
+            for lo in range(0, 1 << width, 4096):
+                bits = ints_to_bits(np.arange(lo, min(lo + 4096, 1 << width)), width)
+                for verdicts in kernels.verdicts(bits):
+                    digest.update(np.packbits(verdicts).tobytes())
+    assert digest.hexdigest() == \
+        "89a683def2446ab00ad598c501155f0130a434c65e5cfd8b573ae2e87b721b75"
 
 
 def test_kernels_accept_zero_rows():
@@ -448,28 +495,46 @@ def test_kernel_peak_bytes_bounded(lit, name, bound, rows):
     assert peak <= bound, peak
 
 
+def test_verdicts_peak_bytes_within_row_bytes():
+    # row_bytes bounds a warm call: 4096 Z64 rows walk their domain in word
+    # groups of 16 * _BLOCK_ELEMENTS bytes
+    kernels = kernels_for(AbelianGroup.from_literal("Z64"), 0)
+    ns = sample_bits(2, 0, 4096, kernels.n_hex)
+    want = kernels.verdicts(ns[:1])  # the cached index tensors are not part of a call
+    tracemalloc.start()
+    try:
+        got = kernels.verdicts(ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096 * kernels.row_bytes, peak
+    assert [v[0] for v in got] == [v[0] for v in want]
+
+
 @pytest.mark.parametrize("lit", ["Z3", "Z9", "Z33", "Z64"])
 @pytest.mark.parametrize("rows", [1, 256, 4096])
 @pytest.mark.parametrize("last_unit", [False, True])
 def test_blocks_tile_the_block_within_the_budget(lit, rows, last_unit):
-    # the slabs cover every w once, in order, each of the four slab buffers
-    # within max(_BLOCK_ELEMENTS, n^2 K 8) bytes; the block of another unit
-    # is the unit 0 block with its b axis permuted by the unit
+    # the word groups cover every word once, in order, each with the whole
+    # domain within max(16 * _BLOCK_ELEMENTS, one word of it) bytes; the
+    # walk does not read the unit, so every unit's block is the unit 0 block
     g = AbelianGroup.from_literal(lit)
-    n, k = g.order, (rows + 63) // 64
+    k = (rows + 63) // 64
     unit = g.units_of_order_le_2()[-1].index if last_unit else 0
     kernels = kernels_for(g, unit)
+    table = build_table(g)
+    entries = table.domain_first.shape[1] * table.domain_second.shape[1]
     x = np.random.default_rng(rows).integers(0, 1 << 64, size=(kernels.n_hex, k),
                                              dtype=np.uint64).astype("<u8")
     plain = kernels_for(g, 0)._blocks(x) if unit else itertools.repeat(None)
     covered = []
-    for (w0, m, spare), by_one in zip(kernels._blocks(x), plain):
-        assert m.shape == spare.shape == (n, n, m.shape[2], k) and w0 == len(covered)
-        assert m.nbytes <= max(batch._BLOCK_ELEMENTS, n * n * k * 8), (w0, m.shape)
+    for (k0, d), by_one in zip(kernels._blocks(x), plain):
+        assert d.shape == (entries, d.shape[1]) and k0 == len(covered)
+        assert d.nbytes <= max(16 * batch._BLOCK_ELEMENTS, entries * 8), (k0, d.shape)
         if unit:
-            assert (m == by_one[1][:, kernels._em]).all(), w0
-        covered += range(w0, w0 + m.shape[2])
-    assert covered == list(range(n))
+            assert by_one[0] == k0 and (d == by_one[1]).all(), k0
+        covered += range(k0, k0 + d.shape[1])
+    assert covered == list(range(k))
 
 
 @pytest.mark.parametrize("lit", ["Z2xZ4", "Z9"])
@@ -499,8 +564,9 @@ def test_rows_sharing_words_keep_their_verdicts(lit):
 
 
 def test_one_index_slabs_match_the_default(monkeypatch):
-    # one index per slab puts each (a, w) of star and 4-full, and each w of
-    # condition B with its excluded tuple (unit, w, w), in a slab of its own.
+    # a one-byte budget walks one word and one pair (b, w) per block, and
+    # gathers one pair of condition B at a time, so each of 4-full's and
+    # star's entries, and each of B's pairs, sits in a block of its own.
     # Every nullset of Z8 and Z2xZ4 is used: on Z2xZ4 some rows fail
     # condition B at one w only.
     names = ["is_hyperfield", "satisfies_star", "is_4full"]

@@ -244,11 +244,13 @@ def test_estimate_tensor_budget_bounds_chunks(monkeypatch):
 
 def test_row_bytes_formula():
     # the bool row and its transposed copy, then one bit per row in the
-    # packed rows, their packing and five (n, n) word arrays:
-    # 2 h + (2 h + 5 n^2) / 8 bytes, rounded up
+    # packed rows, their packing, condition A's (n, n) words, the domain's
+    # |A| |P| entries, the walk's first factor and the blocks of one entry:
+    # 2 h + (2 h + n^2 + (|A| + 2)(|P| + n)) / 8 bytes, rounded up; Z8xZ8
+    # has four self-inverse elements to Z64's two, so one more a
     got = {lit: kernels_for(AbelianGroup.from_literal(lit), 0).row_bytes
            for lit in ["Z1", "Z5", "Z13", "Z17", "Z64", "Z8xZ8"]}
-    assert got == {"Z1": 3, "Z5": 32, "Z13": 185, "Z17": 309, "Z64": 4169, "Z8xZ8": 4169}
+    assert got == {"Z1": 4, "Z5": 32, "Z13": 217, "Z17": 399, "Z64": 11501, "Z8xZ8": 11769}
 
 
 def test_tensor_budget_keeps_default_chunks_up_to_z16(monkeypatch):
