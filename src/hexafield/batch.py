@@ -3,7 +3,8 @@
 Every public method takes a bool matrix NS of shape (samples, #hexagons),
 row s being the hexagon-membership bits of one nullset, and returns a bool
 vector of per-sample verdicts; `verdicts` returns three (hyperfield, 4-full,
-star) from one walk of the block.  The fast predicates are first-order tests
+star) from one walk of the block, over one fundamental domain of its two
+involutions (hexagons.py).  The fast predicates are first-order tests
 on the nullset; `axiom_oracle`, their independent judge, is the brute-force
 axiom check of pastures.py: it serves every group table and row count, so
 the scalar and skew oracles run the same code, at any order: a batch goes
@@ -106,12 +107,11 @@ class Kernels:
         _BLOCK_ELEMENTS bytes each.  With h hexagons, n = |G| and the
         domain's |A| values of a and |P| pairs (b, w): the bool row and its
         transposed copy take 2 h bytes.  In bits: the packed rows and their
-        packing 2 h; condition A's pairs n^2; the domain |A| |P|, when one
+        packing 2 h; condition A's pairs n^2; the domain |A| |P|, while a
         call's words fit 16 * _BLOCK_ELEMENTS bytes of it; the walk's first
-        factor n |A|; and 2 (|P| + n) for a block of one pair (b, w), the
-        per-a ANDs, 4-full's row of the unit, star's diagonal and one pair of
-        condition B each.  That is 2 h + (2 h + n^2 + (|A| + 2)(|P| + n)) / 8
-        bytes, rounded up."""
+        factor n |A|; and 2 (|P| + n) for blocks of one pair (b, w) or one
+        pair of condition B, and the gathers of 4-full's and star's entries.
+        That is 2 h + (2 h + n^2 + (|A| + 2)(|P| + n)) / 8 bytes, rounded up."""
         n, h = self.group.order, self.n_hex
         a, p = self._table.domain_first.shape[1], self._table.domain_second.shape[1]
         return 2 * h + (2 * h + n * n + (a + 2) * (p + n) + 7) // 8
@@ -130,7 +130,8 @@ class Kernels:
         broadcast along the pairs, with hex(b, w, t), broadcast along a, and
         ORs the result in, over blocks of pairs (b, w) whose buffers fit
         _BLOCK_ELEMENTS bytes.  The words of a call are walked in groups
-        whose domain fits 16 * _BLOCK_ELEMENTS bytes, or one word each.
+        whose domain fits 16 * _BLOCK_ELEMENTS bytes, or one word each; one
+        buffer serves every group, so the next group overwrites d.
         """
         first_index, second_index = self._table.domain_first, self._table.domain_second
         n, a, p = first_index.shape[0], first_index.shape[1], second_index.shape[1]
@@ -288,7 +289,7 @@ class Kernels:
     @cached_property
     def nontrivial_hex_perms(self) -> np.ndarray:
         autos = automorphisms_fixing(self.group, self.unit_index)
-        return hexagon_permutations(build_table(self.group),
+        return hexagon_permutations(self._table,
                                     autos[(autos != np.arange(self.group.order)).any(axis=1)])
 
     def orbit_scan(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
