@@ -137,18 +137,27 @@ class Kernels:
         n, a, p = first_index.shape[0], first_index.shape[1], second_index.shape[1]
         groups = -(-x.shape[1] * a * p * x.itemsize // (16 * _BLOCK_ELEMENTS))
         width = -(-x.shape[1] // groups)
-        step = max(1, _BLOCK_ELEMENTS // (a * width * x.itemsize))
-        # one domain and one spare buffer serve every group
-        bufs = np.empty(a * (p + min(p, step)) * width, dtype=x.dtype)
+        step = min(p, max(1, _BLOCK_ELEMENTS // (a * width * x.itemsize)))
+        # one buffer holds the domain, the first factor, and a block's second
+        # factor and spare, for every group.  glibc raises its mmap and trim
+        # thresholds to the largest block freed, so one block lets later calls
+        # reuse heap pages; four separate ones page-faulted about 400 times
+        # per 4096-row Z13 call, and left the lottery sampler's buffers
+        # faulting on every later chunk
+        work = np.empty((a * p + n * a + (n + a) * step) * width, dtype=x.dtype)
         for k0 in range(0, x.shape[1], width):
             words = x[:, k0:k0 + width]
             k = words.shape[1]
-            first = words[first_index][:, :, None]  # [t, a, 1, K]
-            d = bufs[:a * p * k].reshape(a, p, k)
-            spare = bufs[a * p * k:a * (p + min(p, step)) * k].reshape(a, -1, k)
+            d = work[:a * p * k].reshape(a, p, k)
+            first = np.take(words, first_index, axis=0, mode="clip",  # "clip" fills `out` unbuffered
+                            out=work[a * p * k:(a * p + n * a) * k].reshape(n, a, k))[:, :, None]
+            rest = work[(a * p + n * a) * k:]
             for p0 in range(0, p, step):
-                second = words[second_index[:, p0:p0 + step]]  # [t, pairs, K]
-                block, buf = d[:, p0:p0 + step], spare[:, :second.shape[1]]
+                pairs = second_index[:, p0:p0 + step]
+                s = pairs.shape[1]
+                second = np.take(words, pairs, axis=0, mode="clip",
+                                 out=rest[:n * s * k].reshape(n, s, k))  # [t, pairs, K]
+                block, buf = d[:, p0:p0 + s], rest[n * s * k:(n + a) * s * k].reshape(a, s, k)
                 np.bitwise_and(first[0], second[0], out=block)
                 for t in range(1, n):
                     block |= np.bitwise_and(first[t], second[t], out=buf)

@@ -136,9 +136,11 @@ def _philox_words(seed: int, start: int, rows: int, words: int) -> np.ndarray:
     _mulhi(0, small, high, np.empty_like(small), np.empty_like(small))
     # Every later word is a (rows, blocks) array: c0..c3 hold the state, x and y
     # are free, each round writes its outputs into x, y and the buffers its
-    # inputs free, and q, r are _mulhi's scratch.
-    c0, c1, c2, c3, x, y, q, r = (np.empty((rows, blocks), dtype=np.uint64)
-                                  for _ in range(8))
+    # inputs free, and q, r are _mulhi's scratch.  They are views of one array:
+    # freeing it raises glibc's mmap and trim thresholds above a chunk's working
+    # set, so later chunks reuse heap pages; eight arrays took fresh pages for
+    # every Z3 chunk (about 440 page faults each).
+    c0, c1, c2, c3, x, y, q, r = np.empty((8, rows, blocks), dtype=np.uint64)
     with np.errstate(over="ignore"):
         np.bitwise_xor(k1, high[:blocks], out=c2)  # round 0
         k0 += _PHILOX_W[0]
