@@ -35,7 +35,10 @@ _BLOCK_ELEMENTS = 1 << 19
 
 def _packed(ns: np.ndarray) -> np.ndarray:
     """(hexagons, K) words, K = ceil(S / 64) and at least 1: bit j of word k of
-    hexagon h is bit h of row 64k + j, and the padding bits are zero."""
+    hexagon h is bit h of row 64k + j, and the padding bits are zero.
+
+    Rows that are the transpose of a C-contiguous (hexagons, S) array, as
+    `lottery.sample_bits` returns them, are packed without a copy."""
     words = np.zeros((ns.shape[1], max(1, (len(ns) + 63) // 64) * 8), dtype=np.uint8)
     # packing along the rows of a contiguous copy is several times faster
     words[:, :(len(ns) + 7) // 8] = np.packbits(np.ascontiguousarray(ns.T), axis=1,

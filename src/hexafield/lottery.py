@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,11 +29,13 @@ THREAD_CAP = 256
 # Chunks are fixed work units, so the thread count never moves their boundaries.
 # A census chunk is _CHUNK nullsets.  A lottery chunk holds at least _CHUNK_BITS
 # sampled bits and never fewer than _CHUNK rows, so narrow hexagon sets do not
-# spend each chunk on numpy calls too short for two threads to overlap: two
-# threads drawing 32768-row Z3 chunks from sample_bits ran at 1.52-1.58x one
-# thread's speed, and at 0.99-1.04x on 16384-row chunks (2-vCPU Xeon VM, medians
-# of 7 in each of three runs).  The sampler's nine 32768-word row arrays take
-# 2.25 MiB, about one core's 2 MiB L2.
+# spend each chunk on short numpy calls: one thread's Philox took 157 ns a row
+# in 4096-row calls, 124 in 8192-row and 110 in 32768-row ones.  What a second
+# thread adds depends on the host: two threads drawing 32768-row Z3 chunks from
+# sample_bits ran at 1.52-1.58x one thread's speed on a quiet VM, but at
+# 0.92-0.96x (16384 rows: 0.96-0.98x) through the shared pool on a loaded one
+# (2-vCPU Xeon VMs, medians of 7 in each of three runs).  The sampler's nine
+# 32768-word row arrays take 2.25 MiB, about one core's 2 MiB L2.
 _CHUNK = 4096
 _CHUNK_BITS = 1 << 17
 
@@ -61,12 +64,70 @@ def _chunks(total: int, size: int = _CHUNK) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """The process's chunk threads, made on first use, so importing starts none."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=THREAD_CAP - 1, thread_name_prefix="hexafield")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits none of the pool's threads, and perhaps a held lock
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _run_chunks(work, bounds, threads):
+    """[work(b) for b in bounds] on t = min(threads, len(bounds)) threads.
+
+    The caller runs one loop and the shared pool t - 1 more.  Each loop takes
+    the next (index, bounds) pair and stores its result by index, so neither
+    the results nor the chunks depend on t.  When the caller's loop ends, the
+    loops that have not started are cancelled and the running ones waited
+    for, so a call never waits on queued work.  Once a chunk raises, no loop
+    of the call takes another chunk, and the first error is raised after
+    every loop has stopped.
+    """
     threads = min(threads, len(bounds))
     if threads <= 1:
         return [work(b) for b in bounds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, bounds))
+    results = [None] * len(bounds)
+    todo = enumerate(bounds)
+    lock = threading.Lock()
+    errors = []
+
+    def loop():
+        while True:
+            with lock:
+                item = None if errors else next(todo, None)
+            if item is None:
+                return
+            try:
+                results[item[0]] = work(item[1])
+            except BaseException as exc:  # the call raises it, interrupts included
+                with lock:
+                    errors.append(exc)
+                return
+
+    pool = _worker_pool()
+    loops = [pool.submit(loop) for _ in range(threads - 1)]
+    loop()
+    started = [future for future in loops if not future.cancel()]
+    for future in started:
+        future.result()  # wait for the loop to stop
+    if errors:
+        raise errors[0]
+    return results
 
 
 @dataclass(frozen=True)
@@ -85,12 +146,22 @@ class LotterySpec:
             raise ValueError("need at least one sample")
 
 
+def _words(*values: int) -> tuple[np.ndarray, ...]:
+    """0-d uint64 arrays: a ufunc dispatches on them faster than on np.uint64
+    scalars, about 0.4 against 0.65 us a call on 8 words."""
+    return tuple(np.array(v, dtype=np.uint64) for v in values)
+
+
 # Philox4x64-10 (Random123, as in np.random.Philox): multipliers and key bumps
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_PHILOX_HALVES = tuple((m & _LO32, m >> _S32) for m in _PHILOX_M)  # (a0, a1) of each
+_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_M = _words(*_MULTIPLIERS)
+_PHILOX_W = _words(0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32, _S32 = _words(0xFFFFFFFF, 32)
+_PHILOX_HALVES = tuple(_words(m & 0xFFFFFFFF, m >> 32) for m in _MULTIPLIERS)  # (a0, a1) of each
+# delta swaps (mask, shift) that transpose the 8x8 bit matrix of a word: bit
+# 8k + j goes to bit 8j + k, so byte k of the word becomes bit k of each byte
+_TRANSPOSE8 = tuple(zip(_words(0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0),
+                        _words(7, 14, 28)))
 
 
 def _mulhi(i: int, b: np.ndarray, p: np.ndarray, q: np.ndarray, r: np.ndarray) -> None:
@@ -102,27 +173,27 @@ def _mulhi(i: int, b: np.ndarray, p: np.ndarray, q: np.ndarray, r: np.ndarray) -
     a1*b1 + (s >> 32) + (u >> 32).
     """
     a0, a1 = _PHILOX_HALVES[i]
-    np.bitwise_and(b, _LO32, out=q)
-    np.right_shift(b, _S32, out=b)
-    np.multiply(q, a0, out=r)
-    np.right_shift(r, _S32, out=r)
-    np.multiply(q, a1, out=q)
-    np.add(q, r, out=q)  # s
-    np.bitwise_and(q, _LO32, out=r)
-    np.right_shift(q, _S32, out=q)
-    np.multiply(b, a0, out=p)
-    np.add(p, r, out=p)  # u
-    np.right_shift(p, _S32, out=p)
-    np.multiply(b, a1, out=b)
-    np.add(p, b, out=p)
-    np.add(p, q, out=p)
+    np.bitwise_and(b, _LO32, q)
+    np.right_shift(b, _S32, b)
+    np.multiply(q, a0, r)
+    np.right_shift(r, _S32, r)
+    np.multiply(q, a1, q)
+    np.add(q, r, q)  # s
+    np.bitwise_and(q, _LO32, r)
+    np.right_shift(q, _S32, q)
+    np.multiply(b, a0, p)
+    np.add(p, r, p)  # u
+    np.right_shift(p, _S32, p)
+    np.multiply(b, a1, b)
+    np.add(p, b, p)
+    np.add(p, q, p)
 
 
 def _philox_words(seed: int, start: int, rows: int, words: int) -> np.ndarray:
     """Words [0, words) of the Philox stream of each row, as a (rows, words) array."""
     m0, m1 = _PHILOX_M
     blocks = (words + 3) // 4  # 4 words of 64 bits per block
-    k0 = np.uint64(seed % (1 << 64))
+    k0 = np.array(seed % (1 << 64), dtype=np.uint64)  # a 0-d array, bumped in place
     k1 = np.arange(rows, dtype=np.uint64)[:, None]
     k1 += np.uint64(start)
     # The generator bumps its counter before the first block, so block b starts
@@ -142,18 +213,18 @@ def _philox_words(seed: int, start: int, rows: int, words: int) -> np.ndarray:
     # every Z3 chunk (about 440 page faults each).
     c0, c1, c2, c3, x, y, q, r = np.empty((8, rows, blocks), dtype=np.uint64)
     with np.errstate(over="ignore"):
-        np.bitwise_xor(k1, high[:blocks], out=c2)  # round 0
+        np.bitwise_xor(k1, high[:blocks], c2)  # round 0
         k0 += _PHILOX_W[0]
         k1 += _PHILOX_W[1]
-        np.multiply(c2, m1, out=c1)  # round 1
+        np.multiply(c2, m1, c1)  # round 1
         _mulhi(1, c2, c0, q, r)
         c0 ^= k0
-        np.bitwise_xor(k1, high[blocks] ^ low[:blocks], out=c2)
+        np.bitwise_xor(k1, high[blocks] ^ low[:blocks], c2)
         c3.fill(low[blocks])
         for rnd in range(2, 9):
             k0 += _PHILOX_W[0]
             k1 += _PHILOX_W[1]
-            np.multiply(c2, m1, out=x)
+            np.multiply(c2, m1, x)
             if rnd == 8 and words <= 2:
                 # one block and words 0, 1 read: the last round reads only c1, c2
                 _mulhi(0, c0, c2, q, r)
@@ -164,7 +235,7 @@ def _philox_words(seed: int, start: int, rows: int, words: int) -> np.ndarray:
             _mulhi(1, c2, y, q, r)
             y ^= c1
             y ^= k0
-            np.multiply(c0, m0, out=c1)
+            np.multiply(c0, m0, c1)
             _mulhi(0, c0, c2, q, r)
             c2 ^= c3
             c2 ^= k1
@@ -173,38 +244,60 @@ def _philox_words(seed: int, start: int, rows: int, words: int) -> np.ndarray:
         # round 9 writes each word j of block b that is read to column 4b + j
         out = np.empty((rows, words), dtype=np.uint64)
         w0, w1, w2, w3 = (out[:, j::4] for j in range(4))
-        np.multiply(c2[:, :w1.shape[1]], m1, out=w1)
+        np.multiply(c2[:, :w1.shape[1]], m1, w1)
         _mulhi(1, c2, y, q, r)
         y ^= c1
-        np.bitwise_xor(y, k0, out=w0)
+        np.bitwise_xor(y, k0, w0)
         full = w2.shape[1]  # blocks whose word 2 is read
         if full:
-            np.multiply(c0[:, :w3.shape[1]], m0, out=w3)
+            np.multiply(c0[:, :w3.shape[1]], m0, w3)
             hi = c2[:, :full]
             _mulhi(0, c0[:, :full], hi, q[:, :full], r[:, :full])
             hi ^= c3[:, :full]
             k1 += _PHILOX_W[1]
-            np.bitwise_xor(hi, k1, out=w2)
+            np.bitwise_xor(hi, k1, w2)
     return out
 
 
 def sample_bits(seed: int, start: int, stop: int, width: int) -> np.ndarray:
-    """Hexagon bits for sample indices [start, stop).
+    """Hexagon bits for sample indices [start, stop), one row per sample.
 
     Bit h of sample i is a pure function of (seed, i, h): bit h % 64 of
     word h // 64 of the np.random.Philox stream keyed by the uint64 pair
     (seed mod 2^64, i). All rows are computed at once; chunking and thread
-    layout therefore cannot change any sample.
+    layout therefore cannot change any sample.  The result is the transpose
+    of a C-contiguous (width, rows) array, the hexagon-major layout in which
+    `batch._packed` packs it without a copy.
     """
     if not 0 <= start <= stop <= 1 << 64:
         raise ValueError(f"need 0 <= start <= stop <= 2**64, got [{start}, {stop})")
     rows = stop - start
     if rows == 0:
-        return np.zeros((0, width), dtype=bool)
-    # the sampler's buffers are freed here; only the words that are read remain
-    raw = _philox_words(seed, start, rows, (width + 63) // 64).astype("<u8", copy=False)
-    # little-endian bytes put bit h of the row at bit h % 8 of byte h // 8
-    return np.unpackbits(raw.view(np.uint8), axis=1, count=width, bitorder="little").view(bool)
+        return np.zeros((width, 0), dtype=bool).T
+    size = (width + 7) // 8  # bytes of a row that are read
+    # little-endian words put bit h of a row at bit h % 8 of its byte h // 8;
+    # the sampler's buffers are freed here, and only the bytes read are kept
+    read = _philox_words(seed, start, rows, (width + 63) // 64).astype(
+        "<u8", copy=False).view(np.uint8)[:, :size]
+    # byte b of rows 8q .. 8q + 7 as word q of x[b], row 8q + k in byte k
+    x = np.zeros((size, -(-rows // 8) * 8), dtype=np.uint8)
+    x[:, :rows] = read.T
+    del read
+    words = x.view("<u8")
+    spare = np.empty_like(words)
+    for mask, shift in _TRANSPOSE8:
+        np.right_shift(words, shift, spare)
+        np.bitwise_xor(spare, words, spare)
+        np.bitwise_and(spare, mask, spare)
+        np.bitwise_xor(words, spare, words)
+        np.left_shift(spare, shift, spare)
+        np.bitwise_xor(words, spare, words)
+    # byte j of word q now holds bit j of byte b of rows 8q .. 8q + 7, so
+    # plane j of byte b, packed, is byte j of every word: (size, 8, words)
+    planes = x.reshape(size, -1, 8).transpose(0, 2, 1).copy()
+    del x, words, spare  # the peak is the unpacked bits and the planes only
+    bits = np.unpackbits(planes, axis=2, count=rows, bitorder="little")
+    return bits.reshape(8 * size, rows)[:width].view(bool).T
 
 
 def sample_pasture(spec: LotterySpec, index: int) -> Pasture:

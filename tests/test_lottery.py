@@ -4,8 +4,8 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,6 +98,25 @@ def test_sampler_memory_per_row():
     assert peak(32768, 4) <= 96 * 32768
     assert peak(4096, 35) <= 0.60 * 2**20
     assert peak(4096, 715) <= 3.77 * 2**20
+
+
+def test_sampler_layout_matches_row_major_unpack():
+    # the hexagon-major bits against the row-major unpack of the same words,
+    # and their (width, rows) transpose is one C-contiguous array
+    def row_major(seed, start, stop, width):
+        raw = lottery._philox_words(seed, start, stop - start, (width + 63) // 64)
+        raw = raw.astype("<u8", copy=False)
+        return np.unpackbits(raw.view(np.uint8), axis=1, count=width, bitorder="little").view(bool)
+
+    for width in [1, 4, 7, 8, 9, 35, 63, 64, 65, 128, 129, 715]:
+        for rows in [0, 1, 7, 63, 64, 65, 4095, 32768]:
+            for start in [0, 2**64 - rows]:
+                got = sample_bits(3, start, start + rows, width)
+                assert got.shape == (rows, width) and got.dtype == bool
+                assert got.T.flags.c_contiguous, (width, rows)
+                if rows:
+                    assert (got == row_major(3, start, start + rows, width)).all(), \
+                        (width, rows, start)
 
 
 def test_sampler_range_validation():
@@ -391,17 +410,141 @@ def test_census_hex_cap_raises_before_any_chunk(monkeypatch):
 
 
 def test_pool_is_clamped_to_chunk_count(monkeypatch):
-    sizes = []
+    # 8 chunks at threads=64 run on at most 8 threads, the caller's among
+    # them, and the shared pool never grows past THREAD_CAP - 1 threads
+    idents = set()
+    lock = threading.Lock()
+    to_bits = lottery.ints_to_bits
 
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def recording(vals, width):
+        with lock:
+            idents.add(threading.get_ident())
+        return to_bits(vals, width)
 
-    monkeypatch.setattr(lottery, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(lottery, "ints_to_bits", recording)
     g = AbelianGroup.from_literal("Z8")  # 2^15 nullsets: 8 chunks
-    census(g, g.element_by_index(0), threads=64)
-    assert sizes == [8]
+    want = census(g, g.element_by_index(0), threads=1)
+    assert idents == {threading.get_ident()}
+    pool = lottery._worker_pool()
+    before = len(pool._threads)
+    assert census(g, g.element_by_index(0), threads=64) == want
+    assert 1 <= len(idents) <= 8
+    # the call asked the pool for 7 loops, so it started at most 7 threads
+    assert len(pool._threads) - before <= 7
+    assert pool._max_workers == lottery.THREAD_CAP - 1
+    assert len(pool._threads) <= lottery.THREAD_CAP - 1
+
+
+def test_failed_chunk_stops_every_loop_first():
+    # chunk 3 raises while chunks 0-2 run; they are held for a while after
+    # it, and the call re-raises only once they have ended, with no chunk
+    # started after the error
+    events, lock = [], threading.Lock()
+    running = threading.Barrier(4)
+    release = threading.Event()
+
+    def work(bounds):
+        i = bounds[0]
+        with lock:
+            events.append(("start", i))
+        if i < 3:
+            running.wait(timeout=30)
+            release.wait(timeout=30)
+        elif i == 3:
+            running.wait(timeout=30)
+            threading.Timer(0.2, release.set).start()
+            raise KeyError("chunk 3")
+        with lock:
+            events.append(("end", i))
+        return i
+
+    bounds = [(i, i + 1) for i in range(40)]
+    with pytest.raises(KeyError, match="chunk 3"):
+        lottery._run_chunks(work, bounds, 4)
+    assert release.is_set()
+    assert sorted(events) == [("end", 0), ("end", 1), ("end", 2),
+                              ("start", 0), ("start", 1), ("start", 2), ("start", 3)]
+    time.sleep(0.05)
+    assert len(events) == 7  # nothing of the call runs after it returns
+    # the pool is still usable, and a call that raises nothing returns in order
+    assert lottery._run_chunks(lambda b: b[0], bounds, 4) == list(range(40))
+
+
+def test_results_do_not_depend_on_threads():
+    z8, z2z4 = AbelianGroup.from_literal("Z8"), AbelianGroup.from_literal("Z2xZ4")
+    runs = {threads: (census(z8, z8.element_by_index(0), threads=threads),
+                      class_table(z2z4, z2z4.element_by_index(0), threads=threads),
+                      estimate(spec_for("Z8", 0, 40_000), "is_hyperfield", threads=threads),
+                      estimate(spec_for("Z3", 0, 100_000), "satisfies_star", threads=threads))
+            for threads in [1, 2, 4, 8]}
+    assert runs[1] == runs[2] == runs[4] == runs[8]
+
+
+def test_import_starts_no_thread():
+    script = ("import threading\n"
+              "import hexafield\n"
+              "from hexafield import lottery\n"
+              "assert lottery._pool is None\n"
+              "print(threading.active_count())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_its_own_pool():
+    # the parent's pool threads do not exist in a child; its first call
+    # makes a new pool and runs its chunks on two threads again
+    def spread():
+        idents, lock = set(), threading.Lock()
+
+        def work(bounds):
+            with lock:
+                idents.add(threading.get_ident())
+            time.sleep(0.01)
+            return bounds
+
+        bounds = [(i, i + 1) for i in range(8)]
+        return lottery._run_chunks(work, bounds, 2) == bounds and len(idents) == 2
+
+    assert spread()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os._exit(0 if spread() else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_chunk_loops_take_each_chunk_once():
+    # more loops than cores, with the interpreter switching threads as often
+    # as it can: every chunk runs exactly once and its result keeps its index
+    calls = []
+
+    def work(bounds):
+        calls.append(bounds[0])
+        return bounds[0] * 3
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            calls.clear()
+            got = lottery._run_chunks(work, [(i, i + 1) for i in range(2000)], 8)
+            assert got == [3 * i for i in range(2000)]
+            assert sorted(calls) == list(range(2000))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_census_matches_scalar_reference():
