@@ -90,17 +90,14 @@ if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
 def _run_chunks(work, bounds, threads):
     """[work(b) for b in bounds] on t = min(threads, len(bounds)) threads.
 
-    The caller runs one loop and the shared pool t - 1 more.  Each loop takes
-    the next (index, bounds) pair and stores its result by index, so neither
-    the results nor the chunks depend on t.  When the caller's loop ends, the
-    loops that have not started are cancelled and the running ones waited
-    for, so a call never waits on queued work.  Once a chunk raises, no loop
-    of the call takes another chunk, and the first error is raised after
-    every loop has stopped.
+    The caller runs one loop and the shared pool t - 1 more, so a call with
+    t = 1 makes no pool.  Each loop takes the next (index, bounds) pair and
+    stores its result by index, so neither the results nor the chunks depend
+    on t.  When the caller's loop ends, the loops that have not started are
+    cancelled and the running ones waited for, so a call never waits on
+    queued work.  Once a chunk raises, no loop of the call takes another
+    chunk, and the first error is raised after every loop has stopped.
     """
-    threads = min(threads, len(bounds))
-    if threads <= 1:
-        return [work(b) for b in bounds]
     results = [None] * len(bounds)
     todo = enumerate(bounds)
     lock = threading.Lock()
@@ -119,8 +116,7 @@ def _run_chunks(work, bounds, threads):
                     errors.append(exc)
                 return
 
-    pool = _worker_pool()
-    loops = [pool.submit(loop) for _ in range(threads - 1)]
+    loops = [_worker_pool().submit(loop) for _ in range(min(threads, len(bounds)) - 1)]
     loop()
     started = [future for future in loops if not future.cancel()]
     for future in started:
@@ -406,12 +402,9 @@ def _orbits(group: AbelianGroup, unit: GroupElement, threads: int | None,
                 int(orbit.sum()), bits[probe].copy(), hyper[probe])
 
     results, covered, probed, claimed = zip(*_run_chunks(work, _chunks(1 << width), nthreads))
-    probed, claimed = np.concatenate(probed), np.concatenate(claimed)
-    # the chunks' probes pooled, in calls no larger than one full chunk's probe
-    step = -(-_CHUNK // ORACLE_SUBSAMPLE)
-    for lo in range(0, len(probed), step):
-        if (kernels.axiom_oracle(probed[lo:lo + step]) != claimed[lo:lo + step]).any():
-            raise RuntimeError("fast hyperfield check disagrees with the axiom oracle")
+    # the chunks' probes pooled in one call, which blocks its own rows
+    if (kernels.axiom_oracle(np.concatenate(probed)) != np.concatenate(claimed)).any():
+        raise RuntimeError("fast hyperfield check disagrees with the axiom oracle")
     if sum(covered) != 1 << width:
         raise AssertionError("orbits must cover every nullset")
     return results

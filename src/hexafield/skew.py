@@ -4,7 +4,8 @@ Orbits of G x G live under the six triple-permutation maps together with
 simultaneous conjugation; `hexagons.orbit_table` builds them over any group
 table, so nothing here assumes commutativity or orbit size 6.  The skew
 oracle is a thin call into the one axiom check of `pastures`, which reads
-any group table; it has the same order cap as every other oracle.
+any group table and has no order cap: `skew_hexagons` bounds the skew oracle
+by CAYLEY_ORDER_CAP, and the hexagon table the abelian one by TABLE_ORDER_CAP.
 """
 
 from __future__ import annotations

@@ -680,14 +680,20 @@ def test_kernels_validation():
 
 def test_oracle_cap(monkeypatch):
     # the oracle's cap is bytes, not an order: about 20 (n + 1)^3 a row, in
-    # blocks of rows within 4 * _BLOCK_ELEMENTS bytes, or one row a block;
-    # the census probe's calls of 41 rows stay one block up to order 9
+    # blocks of at most 64 rows within 4 * _BLOCK_ELEMENTS bytes, or one row
+    # a block; a census probe's pooled rows go through in 64-row blocks up
+    # to order 10, and Z64 takes one row a block
+    blocks = []
+    hold = batch._axioms_hold
+    monkeypatch.setattr(batch, "_axioms_hold", lambda *args: blocks.append(len(args[3]))
+                        or hold(*args))
     g = AbelianGroup.from_literal("Z64")
     kernels = kernels_for(g, 0)
     ns = sample_bits(1, 0, 64, build_table(g).size)
     kernels.axiom_oracle(ns[:1])  # the cached index tensors are not part of a call
     row = 20 * 65 ** 3
     for rows, bound in [(1, row), (64, 4 * batch._BLOCK_ELEMENTS + row)]:
+        blocks.clear()
         tracemalloc.start()
         try:
             got = kernels.axiom_oracle(ns[:rows])
@@ -695,15 +701,14 @@ def test_oracle_cap(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= bound, (rows, peak)
+        assert blocks == [1] * rows
         assert (got == kernels.is_hyperfield(ns[:rows])).all()
-    blocks = []
-    hold = batch._axioms_hold
-    monkeypatch.setattr(batch, "_axioms_hold", lambda *args: blocks.append(len(args[3]))
-                        or hold(*args))
-    for lit in ["Z8", "Z9", "Z3xZ3"]:
+    # Z12's budget: 4 * 2^19 // (20 * 13^3) = 47 rows
+    for lit, rows, want in [("Z8", 200, [64, 64, 64, 8]), ("Z12", 100, [47, 47, 6])]:
         g = AbelianGroup.from_literal(lit)
-        kernels_for(g, 0).axiom_oracle(sample_bits(2, 0, 41, build_table(g).size))
-    assert blocks == [41, 41, 41]
+        blocks.clear()
+        kernels_for(g, 0).axiom_oracle(sample_bits(2, 0, rows, build_table(g).size))
+        assert blocks == want, lit
 
 
 def test_kernels_cached():

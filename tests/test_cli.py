@@ -146,6 +146,28 @@ def test_census_z10():
     assert text.splitlines()[1] == "Z10,[0],4194304,608619,0,515599,152576,607052"
 
 
+def test_census_and_classify_output_pinned():
+    # census of every group of order <= 9 at threads 1 and 2, then classify
+    # and classify --all of every group of order <= 8 at threads 2 (the
+    # classify runs are most of the time; criterion 10 covers their thread
+    # invariance); the digest is the one printed at commit 8219532
+    def outputs(threads, *commands):
+        texts = []
+        for g in abelian_groups_up_to(9):
+            for command in commands:
+                if command[0] == "census" or g.order <= 8:
+                    code, text = invoke(*command, "--group", g.literal, "--threads", threads)
+                    assert code == 0, (command, g.literal)
+                    texts.append(text)
+        return texts
+
+    texts = outputs("1", ("census",))
+    assert outputs("2", ("census",)) == texts
+    texts += outputs("2", ("classify",), ("classify", "--all"))
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == \
+        "f1107503dda5903893ddaaefeaa7a9cdcac23d5d9505162483049dfd623bc3da"
+
+
 def test_lottery_frozen_run():
     code, text = invoke("lottery", "--group", "Z3", "--event", "star",
                         "--samples", "1000")

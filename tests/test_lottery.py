@@ -13,7 +13,7 @@ import numpy as np
 import oracles
 import pytest
 
-from hexafield import lottery
+from hexafield import batch, lottery
 from hexafield.errors import CapacityError
 from hexafield.groups import AbelianGroup, abelian_groups_up_to
 from hexafield.hexagons import build_table
@@ -468,6 +468,20 @@ def test_failed_chunk_stops_every_loop_first():
     assert len(events) == 7  # nothing of the call runs after it returns
     # the pool is still usable, and a call that raises nothing returns in order
     assert lottery._run_chunks(lambda b: b[0], bounds, 4) == list(range(40))
+    # at one thread the failing chunk's own exception is raised, and no
+    # later chunk starts
+    started, error = [], KeyError("chunk 3")
+
+    def alone(bounds):
+        started.append(bounds[0])
+        if bounds[0] == 3:
+            raise error
+        return bounds[0]
+
+    with pytest.raises(KeyError) as raised:
+        lottery._run_chunks(alone, bounds, 1)
+    assert raised.value is error
+    assert started == [0, 1, 2, 3]
 
 
 def test_results_do_not_depend_on_threads():
@@ -481,9 +495,17 @@ def test_results_do_not_depend_on_threads():
 
 
 def test_import_starts_no_thread():
+    # importing starts no thread, and neither does a one-thread census or
+    # lottery, which runs its chunks on the caller
     script = ("import threading\n"
               "import hexafield\n"
               "from hexafield import lottery\n"
+              "from hexafield.groups import AbelianGroup\n"
+              "assert lottery._pool is None\n"
+              "g = AbelianGroup.from_literal('Z8')\n"
+              "lottery.census(g, g.element_by_index(0), threads=1)\n"
+              "spec = lottery.LotterySpec(g, g.element_by_index(0), 1, 10_000)\n"
+              "lottery.estimate(spec, 'is_hyperfield', threads=1)\n"
               "assert lottery._pool is None\n"
               "print(threading.active_count())\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -599,9 +621,10 @@ def test_orbit_checks_bite(monkeypatch):
 def test_pooled_oracle_probe_still_bites(monkeypatch):
     # flip the hyperfield verdict of the last chunk's first representative,
     # which the probe re-checks: census and classification raise at any
-    # thread count, after pooled oracle calls over the same rows
-    verdicts, oracle = Kernels.verdicts, Kernels.axiom_oracle
-    calls = []
+    # thread count, after one oracle call over the same pooled rows, which
+    # the oracle walks in blocks of at most 64 rows
+    verdicts, oracle, hold = Kernels.verdicts, Kernels.axiom_oracle, batch._axioms_hold
+    calls, blocks = [], []
 
     def nullsets(ns):
         return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
@@ -620,19 +643,20 @@ def test_pooled_oracle_probe_still_bites(monkeypatch):
 
     monkeypatch.setattr(Kernels, "verdicts", flipped)
     monkeypatch.setattr(Kernels, "axiom_oracle", recorded)
+    monkeypatch.setattr(batch, "_axioms_hold", lambda *args: blocks.append(len(args[3]))
+                        or hold(*args))
     z8, z2z4 = AbelianGroup.from_literal("Z8"), AbelianGroup.from_literal("Z2xZ4")
-    runs = [(3, lambda t: census(z8, z8.element_by_index(0), threads=t)),
-            (None, lambda t: class_table(z2z4, z2z4.element_by_index(0), threads=t))]
-    for most_calls, run_at in runs:
+    for run_at in [lambda t: census(z8, z8.element_by_index(0), threads=t),
+                   lambda t: class_table(z2z4, z2z4.element_by_index(0), threads=t)]:
         probed = []
         for threads in (1, 2):
             calls.clear()
+            blocks.clear()
             with pytest.raises(RuntimeError, match="axiom oracle"):
                 run_at(threads)
-            # 41 = ceil(4096 / 100) rows, the most one full chunk probes
-            assert calls and max(len(c) for c in calls) <= 41
-            assert most_calls is None or len(calls) <= most_calls
-            probed.append(sorted(v for c in calls for v in c))
+            assert len(calls) == 1
+            assert sum(blocks) == len(calls[0]) and max(blocks) <= 64
+            probed.append(sorted(calls[0]))
         assert probed[0] == probed[1]
 
 
